@@ -6,44 +6,11 @@ the same qubit amplitude. See the README for the CLI.
 """
 
 from ._version import __version__
-from .config import KINDS, ConfigError, RunConfig, parse_config
-from .eigen import SpectralDecomposition, decompose
+from .config import ConfigError
 from .errors import DdchainError, NumericalError
-from .kernel import (
-    KernelTrace,
-    LifetimeNotFoundError,
-    PTrace,
-    correlation_kernel,
-    estimate_lifetime,
-    kernel_values,
-    solve_p_equation,
-)
-from .model import (
-    ChainSpec,
-    PulseSpec,
-    TridiagonalHamiltonian,
-    build_controlled_hamiltonian,
-    build_free_hamiltonian,
-    control_value,
-    environment_block,
-    sample_period_noise,
-    sample_static_disorder,
-)
-from .propagate import (
-    EvolutionRecord,
-    evolve_interval,
-    fidelity,
-    final_fidelity,
-    initial_state,
-    run_protocol,
-    site_amplitude_trace,
-)
+from .model import ChainSpec, PulseSpec
+from .propagate import run_protocol
 from .sweeps import (
-    PqComparison,
-    SizeSweep,
-    SweepGrid,
-    SweepResult,
-    VariantTraces,
     kernel_study,
     pq_check,
     sweep_delta_tau,
@@ -55,43 +22,13 @@ from .sweeps import (
 __all__ = [
     "__version__",
     "ChainSpec",
-    "ConfigError",
-    "DdchainError",
-    "EvolutionRecord",
-    "KINDS",
-    "KernelTrace",
-    "LifetimeNotFoundError",
-    "NumericalError",
-    "PTrace",
-    "PqComparison",
     "PulseSpec",
-    "RunConfig",
-    "SizeSweep",
-    "SpectralDecomposition",
-    "SweepGrid",
-    "SweepResult",
-    "TridiagonalHamiltonian",
-    "VariantTraces",
-    "build_controlled_hamiltonian",
-    "build_free_hamiltonian",
-    "control_value",
-    "correlation_kernel",
-    "decompose",
-    "environment_block",
-    "estimate_lifetime",
-    "evolve_interval",
-    "fidelity",
-    "final_fidelity",
-    "initial_state",
-    "kernel_study",
-    "kernel_values",
-    "parse_config",
-    "pq_check",
+    "DdchainError",
+    "ConfigError",
+    "NumericalError",
     "run_protocol",
-    "sample_period_noise",
-    "sample_static_disorder",
-    "site_amplitude_trace",
-    "solve_p_equation",
+    "kernel_study",
+    "pq_check",
     "sweep_delta_tau",
     "sweep_ratio_psi",
     "sweep_size",

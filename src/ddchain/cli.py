@@ -17,15 +17,17 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from ._version import __version__
 from .config import KINDS, ConfigError, RunConfig, config_to_lines, parse_config
 from .errors import DdchainError
-from .model import ChainSpec, PulseSpec
+from .model import PulseSpec
 from .sweeps import (
     SweepResult,
+    chain_spec,
     kernel_study,
     pq_check,
     sweep_delta_tau,
@@ -34,15 +36,8 @@ from .sweeps import (
     trace_variants,
 )
 
-_FLAG_KEYS = (
-    "n", "j", "psi", "delta", "tau", "m", "gamma", "epsilon", "eta",
-    "seed", "workers", "out", "record_every", "n_values",
-    "delta_min", "delta_max", "delta_steps",
-    "tau_min", "tau_max", "tau_steps",
-    "ratio_min", "ratio_max", "ratio_steps",
-    "psi_min", "psi_max", "psi_steps",
-    "dt", "t_max", "threshold", "hold",
-)
+# Every config key except the kind, which the subcommand names.
+_FLAG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "kind")
 
 
 def _fmt(value: float) -> str:
@@ -72,21 +67,6 @@ def _write_sidecar(cfg: RunConfig, results: dict[str, str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.linspace(lo, hi, steps)
-
-
-def _chain_from(cfg: RunConfig) -> ChainSpec:
-    return ChainSpec(
-        n_sites=cfg.n,
-        coupling=cfg.j,
-        static_coupling_disorder=cfg.gamma,
-        band_broadening=cfg.epsilon,
-        per_period_noise=cfg.eta,
-        seed=cfg.seed,
-    )
-
-
 def run(cfg: RunConfig) -> str:
     """Execute one configured experiment; returns a one-line summary."""
     started = time.perf_counter()
@@ -95,22 +75,22 @@ def run(cfg: RunConfig) -> str:
     if cfg.kind == "delta-tau":
         sweep = sweep_delta_tau(
             cfg.psi, cfg.n, cfg.m,
-            _axis(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
-            _axis(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
+            np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
+            np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
             j=cfg.j, gamma=cfg.gamma, epsilon=cfg.epsilon, eta=cfg.eta,
             seed=cfg.seed, workers=cfg.workers,
         )
-        summary = _write_sweep(cfg, sweep, ("delta", "tau"), results)
+        summary = _write_sweep(cfg, sweep, results)
     elif cfg.kind == "ratio-psi":
         sweep = sweep_ratio_psi(
             cfg.delta,
-            _axis(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps),
-            _axis(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
+            np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps),
+            np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
             cfg.n, cfg.m,
             j=cfg.j, gamma=cfg.gamma, epsilon=cfg.epsilon, eta=cfg.eta,
             seed=cfg.seed, workers=cfg.workers,
         )
-        summary = _write_sweep(cfg, sweep, ("ratio", "psi"), results)
+        summary = _write_sweep(cfg, sweep, results)
     elif cfg.kind == "size":
         table = sweep_size(
             cfg.psi, cfg.delta, cfg.tau, cfg.m, cfg.n_values,
@@ -137,7 +117,8 @@ def run(cfg: RunConfig) -> str:
         )
         summary = f"{len(traces.times)} times x 5 variants"
     elif cfg.kind == "kernel":
-        trace = kernel_study(_chain_from(cfg), cfg.dt, cfg.t_max, cfg.threshold, cfg.hold)
+        chain = chain_spec(cfg.n, cfg.j, cfg.gamma, cfg.epsilon, cfg.eta, cfg.seed)
+        trace = kernel_study(chain, cfg.dt, cfg.t_max, cfg.threshold, cfg.hold)
         times = np.arange(len(trace.samples)) * trace.dt
         _write_csv(
             cfg.out,
@@ -149,7 +130,8 @@ def run(cfg: RunConfig) -> str:
         summary = f"lifetime={lifetime:g}"
     elif cfg.kind == "pq-check":
         pulse = None if cfg.psi == 0.0 else PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
-        comparison = pq_check(_chain_from(cfg), pulse, cfg.dt, cfg.m * cfg.tau)
+        chain = chain_spec(cfg.n, cfg.j, cfg.gamma, cfg.epsilon, cfg.eta, cfg.seed)
+        comparison = pq_check(chain, pulse, cfg.dt, cfg.m * cfg.tau)
         _write_csv(
             cfg.out,
             ["t", "abs_p", "fidelity_direct", "abs_error"],
@@ -166,13 +148,13 @@ def run(cfg: RunConfig) -> str:
     return f"{cfg.kind}: wrote {cfg.out} and {sidecar_path(cfg.out)} ({summary})"
 
 
-def _write_sweep(cfg, sweep: SweepResult, names: tuple[str, str], results: dict) -> str:
+def _write_sweep(cfg, sweep: SweepResult, results: dict) -> str:
     rows = (
         (a, b, sweep.fidelities[i, k])
         for i, a in enumerate(sweep.grid.axis1)
         for k, b in enumerate(sweep.grid.axis2)
     )
-    _write_csv(cfg.out, [names[0], names[1], "fidelity"], rows)
+    _write_csv(cfg.out, [sweep.grid.axis1_name, sweep.grid.axis2_name, "fidelity"], rows)
     n_cells = sweep.fidelities.size
     n_bad = int(np.isnan(sweep.fidelities).sum())
     results["cells"] = str(n_cells)

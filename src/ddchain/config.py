@@ -65,52 +65,18 @@ class RunConfig:
     hold: float
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    return value
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part, 10) for part in text.split(",") if part.strip())
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+# The RunConfig fields are the schema: one parser per field, chosen by
+# its annotation (a string, under postponed evaluation).
 _PARSERS = {
-    "kind": str,
-    "n": _parse_int,
-    "j": _parse_float,
-    "psi": _parse_float,
-    "delta": _parse_float,
-    "tau": _parse_float,
-    "m": _parse_int,
-    "gamma": _parse_float,
-    "epsilon": _parse_float,
-    "eta": _parse_float,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "out": str,
-    "record_every": _parse_int,
-    "n_values": _parse_int_list,
-    "delta_min": _parse_float,
-    "delta_max": _parse_float,
-    "delta_steps": _parse_int,
-    "tau_min": _parse_float,
-    "tau_max": _parse_float,
-    "tau_steps": _parse_int,
-    "ratio_min": _parse_float,
-    "ratio_max": _parse_float,
-    "ratio_steps": _parse_int,
-    "psi_min": _parse_float,
-    "psi_max": _parse_float,
-    "psi_steps": _parse_int,
-    "dt": _parse_float,
-    "t_max": _parse_float,
-    "threshold": _parse_float,
-    "hold": _parse_float,
+    f.name: {"int": int, "float": float, "str": str,
+             "tuple[int, ...]": _parse_int_list}[f.type]
+    for f in fields(RunConfig)
 }
+_FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "float")
 
 # Defaults that do not depend on the experiment kind.
 _DEFAULTS = {
@@ -227,10 +193,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _validate(cfg: RunConfig) -> None:
     _require(cfg.n >= 2, f"n must be >= 2, got {cfg.n}")
-    for key in ("j", "psi", "delta", "tau", "gamma", "epsilon", "eta",
-                "dt", "t_max", "threshold", "hold",
-                "delta_min", "delta_max", "tau_min", "tau_max",
-                "ratio_min", "ratio_max", "psi_min", "psi_max"):
+    for key in _FLOAT_KEYS:
         _require(math.isfinite(getattr(cfg, key)), f"{key} must be finite")
     _require(cfg.tau > 0, f"tau must be > 0, got {cfg.tau}")
     _require(cfg.delta >= 0, f"delta must be >= 0, got {cfg.delta}")

@@ -54,12 +54,6 @@ def _canonicalize_signs(vectors: np.ndarray) -> None:
     # First component of each column whose magnitude is non-negligible
     # (relative to the column max) decides the sign.
     absv = np.abs(vectors)
-    cutoff = 1e-12 * absv.max(axis=0)
-    n = vectors.shape[0]
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        for i in range(n):
-            if absv[i, k] > cutoff[k]:
-                if col[i] < 0:
-                    np.negative(col, out=col)
-                break
+    lead = np.argmax(absv > 1e-12 * absv.max(axis=0), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] = -vectors[:, flip]

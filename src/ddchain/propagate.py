@@ -16,6 +16,7 @@ Global phases are never tracked; every observable here is a modulus.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +70,25 @@ class EvolutionRecord:
     fidelities: np.ndarray
 
 
-def _period_decompositions(chain, pulse, bond_off, site_off):
-    free = decompose(build_free_hamiltonian(chain, bond_off, site_off))
-    if pulse.strength == 0.0:
-        return free, free
-    pulsed = decompose(build_controlled_hamiltonian(chain, pulse, bond_off, site_off))
-    return pulsed, free
+def _period_decompositions(chain: ChainSpec, pulse: PulseSpec):
+    """Yield the (pulsed, free) decompositions of periods 0, 1, 2, ...
+
+    Static disorder is sampled once from the chain seed. When the chain
+    has per-period noise, fresh bond offsets are drawn each period and
+    both Hamiltonians are re-decomposed for that period; otherwise the
+    one pair is reused. At zero strength the free decomposition serves
+    as the pulsed one.
+    """
+    bond_off, site_off = sample_static_disorder(chain)
+    noisy = chain.per_period_noise > 0.0
+    for k in itertools.count():
+        if noisy or k == 0:
+            bonds = bond_off + sample_period_noise(chain, k) if noisy else bond_off
+            free = decompose(build_free_hamiltonian(chain, bonds, site_off))
+            pulsed = free
+            if pulse.strength != 0.0:
+                pulsed = decompose(build_controlled_hamiltonian(chain, pulse, bonds, site_off))
+        yield pulsed, free
 
 
 def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> EvolutionRecord:
@@ -84,26 +98,14 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     repetitions of [pulsed evolution for width, free evolution for
     period - width], recording the fidelity at t = 0 and then every
     ``record_every`` periods (the final period is always recorded).
-
-    Static disorder is sampled once from the chain seed. When the chain
-    has per-period noise, fresh bond offsets are drawn each period and
-    both Hamiltonians are re-decomposed for that period; otherwise the
-    two decompositions are computed once and reused.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    bond_off, site_off = sample_static_disorder(chain)
-    noisy = chain.per_period_noise > 0.0
-    if not noisy:
-        pulsed, free = _period_decompositions(chain, pulse, bond_off, site_off)
-
     state = initial_state(chain.n_sites)
     times = [0.0]
     fids = [fidelity(state)]
-    for k in range(pulse.periods):
-        if noisy:
-            offsets = bond_off + sample_period_noise(chain, k)
-            pulsed, free = _period_decompositions(chain, pulse, offsets, site_off)
+    schedule = _period_decompositions(chain, pulse)
+    for k, (pulsed, free) in zip(range(pulse.periods), schedule):
         state = evolve_interval(state, pulsed, pulse.width)
         state = evolve_interval(state, free, pulse.period - pulse.width)
         if (k + 1) % record_every == 0 or k + 1 == pulse.periods:
@@ -126,52 +128,44 @@ def site_amplitude_trace(
 
     Samples inside pulse/free segments come from the segment's spectral
     phases directly, so values are exact at every grid time, not only at
-    period boundaries. Per-period noise requires the protocol clock, so
-    it is rejected when ``pulse`` is None.
+    period boundaries. The grid must end within the pulse train's
+    ``periods * period``. Per-period noise requires the protocol clock,
+    so it is rejected when ``pulse`` is None.
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be > 0")
-    if pulse is None and chain.per_period_noise > 0.0:
-        raise ValueError("per-period noise needs a pulse protocol clock")
     n = int(round(t_max / dt))
     t_grid = np.arange(n + 1) * dt
     t_end = n * dt
     tol = 1e-9 * dt
-
-    bond_off, site_off = sample_static_disorder(chain)
-    noisy = chain.per_period_noise > 0.0
-    if not noisy:
-        if pulse is None:
-            free = decompose(build_free_hamiltonian(chain, bond_off, site_off))
-            pulsed = free
-        else:
-            pulsed, free = _period_decompositions(chain, pulse, bond_off, site_off)
+    if pulse is None:
+        if chain.per_period_noise > 0.0:
+            raise ValueError("per-period noise needs a pulse protocol clock")
+        # One free period spanning the whole grid, even when t_end rounds to 0.
+        pulse = PulseSpec(0.0, max(t_end, t_max), 0.0, 1)
+    elif max(t_max, t_end) > pulse.periods * pulse.period * (1 + 1e-12):
+        raise ValueError(
+            f"t_max={t_max:g} runs past the end of the pulse train "
+            f"({pulse.periods} periods of {pulse.period:g})"
+        )
 
     out = np.empty(n + 1, dtype=complex)
     state = initial_state(chain.n_sites)
     out[0] = state[0]
-
-    period = pulse.period if pulse is not None else t_end
-    width = pulse.width if pulse is not None else 0.0
-    k = 0
-    t0 = 0.0
-    while t0 < t_end - tol:
-        if noisy:
-            offsets = bond_off + sample_period_noise(chain, k)
-            pulsed, free = _period_decompositions(chain, pulse, offsets, site_off)
-        segments = (
-            (k * period, min(k * period + width, t_end), pulsed),
-            (k * period + width, min((k + 1) * period, t_end), free),
-        )
-        for a, b, dec in segments:
+    schedule = _period_decompositions(chain, pulse)
+    for k in itertools.count():
+        start = k * pulse.period
+        if start >= t_end - tol:
+            break
+        pulsed, free = next(schedule)
+        on_end = min(start + pulse.width, t_end)
+        for a, b, dec in ((start, on_end, pulsed),
+                          (on_end, min((k + 1) * pulse.period, t_end), free)):
             if b - a <= tol:
                 continue
-            coeffs = dec.eigenvectors.T @ state
-            row = dec.eigenvectors[0, :] * coeffs
             idx = np.nonzero((t_grid > a + tol) & (t_grid <= b + tol))[0]
             if len(idx):
+                row = dec.eigenvectors[0, :] * (dec.eigenvectors.T @ state)
                 out[idx] = np.exp(-1j * np.outer(t_grid[idx] - a, dec.eigenvalues)) @ row
-            state = dec.eigenvectors @ (np.exp(-1j * (b - a) * dec.eigenvalues) * coeffs)
-        t0 = min((k + 1) * period, t_end)
-        k += 1
+            state = evolve_interval(state, dec, b - a)
     return out

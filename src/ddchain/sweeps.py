@@ -10,13 +10,11 @@ the table as NaN sentinels rather than dropped.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
 from .kernel import KernelTrace, correlation_kernel, solve_p_equation
 from .model import (
     ChainSpec,
@@ -32,13 +30,12 @@ INFEASIBLE = float("nan")
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Two swept axes plus the fixed parameters of the job."""
+    """The two swept axes of a 2-D sweep."""
 
     axis1_name: str
     axis1: np.ndarray
     axis2_name: str
     axis2: np.ndarray
-    fixed: dict
 
     def __post_init__(self):
         for name, values in ((self.axis1_name, self.axis1), (self.axis2_name, self.axis2)):
@@ -53,7 +50,6 @@ class SweepGrid:
 class SweepResult:
     grid: SweepGrid
     fidelities: np.ndarray  # shape (len(axis1), len(axis2)), NaN = infeasible
-    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -83,25 +79,18 @@ class PqComparison:
     abs_error: np.ndarray
 
 
-def _final_fidelity_cell(args) -> float:
-    chain, pulse = args
-    return final_fidelity(chain, pulse)
-
-
-def _size_cell(args):
-    chain, pulse_free, pulse_ctrl = args
-    return final_fidelity(chain, pulse_free), final_fidelity(chain, pulse_ctrl)
-
-
-def _pmap(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (4 * workers))
+def _fidelities(chains, pulses, workers: int) -> list[float]:
+    """Final fidelity of each (chain, pulse) cell, in cell order, computed
+    serially or on a process pool."""
+    if workers <= 1 or len(pulses) <= 1:
+        return list(map(final_fidelity, chains, pulses))
+    chunk = max(1, len(pulses) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(final_fidelity, chains, pulses, chunksize=chunk))
 
 
-def _chain(n, j, gamma, epsilon, eta, seed) -> ChainSpec:
+def chain_spec(n, j, gamma, epsilon, eta, seed) -> ChainSpec:
+    """ChainSpec from the run-config names of its parameters."""
     return ChainSpec(
         n_sites=n,
         coupling=j,
@@ -110,6 +99,25 @@ def _chain(n, j, gamma, epsilon, eta, seed) -> ChainSpec:
         per_period_noise=eta,
         seed=seed,
     )
+
+
+def _sweep_grid(grid: SweepGrid, chain: ChainSpec, pulse_at, workers: int) -> SweepResult:
+    """Final fidelity at every (axis1, axis2) cell of ``grid``.
+
+    ``pulse_at(x, y)`` gives the cell's pulse, or None for an infeasible
+    cell, which stays in the table as a NaN sentinel.
+    """
+    table = np.full((len(grid.axis1), len(grid.axis2)), INFEASIBLE)
+    cells = {}
+    for a, x in enumerate(grid.axis1):
+        for b, y in enumerate(grid.axis2):
+            pulse = pulse_at(x, y)
+            if pulse is not None:
+                cells[a, b] = pulse
+    pulses = list(cells.values())
+    for slot, value in zip(cells, _fidelities([chain] * len(pulses), pulses, workers)):
+        table[slot] = value
+    return SweepResult(grid, table)
 
 
 def sweep_delta_tau(
@@ -126,28 +134,13 @@ def sweep_delta_tau(
     workers: int = 1,
 ) -> SweepResult:
     """Final fidelity over a (width, period) grid at fixed strength."""
-    delta_values = np.asarray(delta_values, dtype=float)
-    tau_values = np.asarray(tau_values, dtype=float)
-    grid = SweepGrid(
-        "delta", delta_values, "tau", tau_values,
-        {"psi": psi, "n": n, "m": m, "j": j, "gamma": gamma,
-         "epsilon": epsilon, "eta": eta, "seed": seed},
+    grid = SweepGrid("delta", np.asarray(delta_values, dtype=float),
+                     "tau", np.asarray(tau_values, dtype=float))
+    return _sweep_grid(
+        grid, chain_spec(n, j, gamma, epsilon, eta, seed),
+        lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m),
+        workers,
     )
-    started = time.perf_counter()
-    chain = _chain(n, j, gamma, epsilon, eta, seed)
-    table = np.full((len(delta_values), len(tau_values)), INFEASIBLE)
-    jobs, slots = [], []
-    for a, delta in enumerate(delta_values):
-        for b, tau in enumerate(tau_values):
-            if delta > tau:
-                continue  # sentinel stays in place
-            jobs.append((chain, PulseSpec(psi, tau, delta, m)))
-            slots.append((a, b))
-    for (a, b), value in zip(slots, _pmap(_final_fidelity_cell, jobs, workers)):
-        table[a, b] = value
-    meta = {"seed": seed, "version": __version__,
-            "wall_time_s": time.perf_counter() - started}
-    return SweepResult(grid, table, meta)
 
 
 def sweep_ratio_psi(
@@ -165,26 +158,14 @@ def sweep_ratio_psi(
 ) -> SweepResult:
     """Final fidelity over (period/width ratio, strength) at fixed width."""
     ratio_values = np.asarray(ratio_values, dtype=float)
-    psi_values = np.asarray(psi_values, dtype=float)
     if np.any(ratio_values < 1.0):
         raise ValueError("ratios must be >= 1 so the width fits in the period")
-    grid = SweepGrid(
-        "ratio", ratio_values, "psi", psi_values,
-        {"delta": delta, "n": n, "m": m, "j": j, "gamma": gamma,
-         "epsilon": epsilon, "eta": eta, "seed": seed},
+    grid = SweepGrid("ratio", ratio_values, "psi", np.asarray(psi_values, dtype=float))
+    return _sweep_grid(
+        grid, chain_spec(n, j, gamma, epsilon, eta, seed),
+        lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m),
+        workers,
     )
-    started = time.perf_counter()
-    chain = _chain(n, j, gamma, epsilon, eta, seed)
-    jobs = [
-        (chain, PulseSpec(psi, ratio * delta, delta, m))
-        for ratio in ratio_values
-        for psi in psi_values
-    ]
-    values = _pmap(_final_fidelity_cell, jobs, workers)
-    table = np.asarray(values).reshape(len(ratio_values), len(psi_values))
-    meta = {"seed": seed, "version": __version__,
-            "wall_time_s": time.perf_counter() - started}
-    return SweepResult(grid, table, meta)
 
 
 def sweep_size(
@@ -202,16 +183,11 @@ def sweep_size(
 ) -> SizeSweep:
     """Free and controlled final fidelity for each chain size."""
     n_values = np.asarray(n_values, dtype=int)
-    pulse_free = PulseSpec(0.0, tau, delta, m)
-    pulse_ctrl = PulseSpec(psi, tau, delta, m)
-    jobs = [
-        (_chain(int(n), j, gamma, epsilon, eta, seed), pulse_free, pulse_ctrl)
-        for n in n_values
-    ]
-    pairs = _pmap(_size_cell, jobs, workers)
-    free = np.array([p[0] for p in pairs])
-    ctrl = np.array([p[1] for p in pairs])
-    return SizeSweep(n_values, free, ctrl)
+    chains = [chain_spec(int(n), j, gamma, epsilon, eta, seed) for n in n_values]
+    pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
+    values = _fidelities([c for c in chains for _ in pulses], pulses * len(chains), workers)
+    pairs = np.asarray(values).reshape(len(chains), len(pulses))
+    return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 
 
 def trace_variants(
@@ -236,20 +212,15 @@ def trace_variants(
     """
     pulse_ctrl = PulseSpec(psi, tau, delta, m)
     runs = {
-        "free": (PulseSpec(0.0, tau, delta, m), _chain(n, j, 0.0, 0.0, 0.0, seed)),
-        "constant": (pulse_ctrl, _chain(n, j, 0.0, 0.0, 0.0, seed)),
-        "broadening": (pulse_ctrl, _chain(n, j, 0.0, epsilon, 0.0, seed)),
-        "static_random": (pulse_ctrl, _chain(n, j, gamma, 0.0, 0.0, seed)),
-        "period_noise": (pulse_ctrl, _chain(n, j, 0.0, 0.0, eta, seed)),
+        "free": (PulseSpec(0.0, tau, delta, m), chain_spec(n, j, 0.0, 0.0, 0.0, seed)),
+        "constant": (pulse_ctrl, chain_spec(n, j, 0.0, 0.0, 0.0, seed)),
+        "broadening": (pulse_ctrl, chain_spec(n, j, 0.0, epsilon, 0.0, seed)),
+        "static_random": (pulse_ctrl, chain_spec(n, j, gamma, 0.0, 0.0, seed)),
+        "period_noise": (pulse_ctrl, chain_spec(n, j, 0.0, 0.0, eta, seed)),
     }
-    records = {
-        name: run_protocol(chain, pulse, record_every=record_every)
-        for name, (pulse, chain) in runs.items()
-    }
-    times = records["free"].times
-    return VariantTraces(times, *(records[k].fidelities for k in
-                                  ("free", "constant", "broadening",
-                                   "static_random", "period_noise")))
+    records = [run_protocol(chain, pulse, record_every=record_every)
+               for pulse, chain in runs.values()]
+    return VariantTraces(records[0].times, *(r.fidelities for r in records))
 
 
 def kernel_study(
@@ -280,15 +251,16 @@ def pq_check(
     Exact for any static chain: the drive offset, qubit-bath coupling,
     and environment block are read off the built Hamiltonian, disorder
     included. Per-period noise makes the kernel time dependent and is
-    rejected.
+    rejected, as is a ``t_max`` past the end of the pulse train; both
+    are checked before the Volterra solve.
     """
     if chain.per_period_noise > 0.0:
         raise ValueError("the memory-kernel route requires a static environment")
+    direct = np.abs(site_amplitude_trace(chain, pulse, dt, t_max))
     bond_off, site_off = sample_static_disorder(chain)
     h = build_free_hamiltonian(chain, bond_off, site_off)
     kernel = correlation_kernel(environment_block(h), h.off_diagonal[0], dt, t_max)
     p = solve_p_equation(kernel, pulse, t_max, dt, drive_offset=h.diagonal[0])
-    direct = np.abs(site_amplitude_trace(chain, pulse, dt, t_max))
     p_abs = np.abs(p.values)
     times = np.arange(len(p_abs)) * dt
     return PqComparison(times, p_abs, direct, np.abs(p_abs - direct))

@@ -1,10 +1,11 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from ddchain.cli import main, sidecar_path
-from ddchain.config import parse_config
+from ddchain.cli import _build_parser, main, sidecar_path
+from ddchain.config import KINDS, RunConfig, parse_config
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -16,6 +17,17 @@ def run_cli(*args):
 def read_rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_config_field_is_a_flag(kind):
+    parser = _build_parser()
+    for field in dataclasses.fields(RunConfig):
+        if field.name == "kind":
+            continue
+        flag = "--" + field.name.replace("_", "-")
+        namespace = parser.parse_args([kind, flag, "7"])
+        assert getattr(namespace, field.name) == "7", flag
 
 
 def test_kernel_run_writes_csv_and_sidecar(tmp_path):

@@ -115,6 +115,19 @@ def test_out_of_range_values_rejected(tmp_path, line):
         parse_config(path)
 
 
+FLOAT_KEYS = (
+    "j", "psi", "delta", "tau", "gamma", "epsilon", "eta", "dt", "t_max", "threshold", "hold",
+    "delta_min", "delta_max", "tau_min", "tau_max", "ratio_min", "ratio_max", "psi_min", "psi_max",
+)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_float_keys_must_be_finite(key, text):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(kind="delta-tau", overrides={key: text})
+
+
 def test_ratio_psi_requires_ratio_at_least_one(tmp_path):
     path = write(tmp_path, "kind=ratio-psi\nratio_min=0.5\n")
     with pytest.raises(ConfigError, match="ratio_min"):

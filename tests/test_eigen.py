@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ddchain.eigen import decompose
+from ddchain.eigen import _canonicalize_signs, decompose
 from ddchain.model import TridiagonalHamiltonian
 
 
@@ -76,6 +77,46 @@ def test_sign_convention_with_decoupled_blocks():
     assert np.allclose(dec.eigenvalues, [0.1, 0.3], atol=1e-15)
     assert np.allclose(dec.eigenvectors[:, 0], [0.0, 1.0], atol=1e-15)
     assert np.allclose(dec.eigenvectors[:, 1], [1.0, 0.0], atol=1e-15)
+
+
+def canonicalize_signs_loop(vectors):
+    # Reference: scan each column for its first non-negligible component.
+    absv = np.abs(vectors)
+    cutoff = 1e-12 * absv.max(axis=0)
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        for i in range(vectors.shape[0]):
+            if absv[i, k] > cutoff[k]:
+                if col[i] < 0:
+                    np.negative(col, out=col)
+                break
+
+
+def assert_canonicalization_matches_loop(vectors):
+    expected = vectors.copy()
+    canonicalize_signs_loop(expected)
+    _canonicalize_signs(vectors)
+    assert vectors.tobytes() == expected.tobytes()
+
+
+def test_vectorized_signs_match_loop_on_random_matrices():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 5, 40):
+        mat = rng.standard_normal((n, n))
+        # Leading exact zeros and sub-cutoff dust in some columns.
+        mat[: n // 2, ::3] = 0.0
+        mat[: n // 3, 1::4] = 1e-14
+        assert_canonicalization_matches_loop(mat)
+
+
+def test_vectorized_signs_match_loop_on_decoupled_blocks():
+    rng = np.random.default_rng(43)
+    for n in (2, 6, 30):
+        off = rng.uniform(-2, 2, n - 1)
+        off[:: max(1, n // 3)] = 0.0
+        _, vectors = scipy.linalg.eigh_tridiagonal(rng.uniform(-2, 2, n), off)
+        assert np.any(vectors[0] == 0.0)
+        assert_canonicalization_matches_loop(vectors)
 
 
 def test_single_site():

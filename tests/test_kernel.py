@@ -164,6 +164,12 @@ def test_pq_check_handles_static_disorder():
     assert comparison.abs_error.max() <= 1e-4
 
 
+def test_pq_check_rejects_time_past_pulse_train():
+    pulse = PulseSpec(6.0, 1.0, 0.5, 4)
+    with pytest.raises(ValueError, match="pulse train"):
+        pq_check(ChainSpec(n_sites=5), pulse, 1e-3, 4.5)
+
+
 def test_pq_check_rejects_period_noise():
     with pytest.raises(ValueError):
         pq_check(ChainSpec(n_sites=5, per_period_noise=0.1), None, 1e-3, 2.0)

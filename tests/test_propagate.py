@@ -152,6 +152,16 @@ def test_amplitude_trace_matches_protocol_with_period_noise():
     assert np.abs(np.abs(trace[idx]) - record.fidelities).max() <= 1e-10
 
 
+def test_amplitude_trace_stops_at_end_of_pulse_train():
+    chain = ChainSpec(n_sites=6)
+    pulse = PulseSpec(5.0, 1.0, 0.5, 3)
+    assert len(site_amplitude_trace(chain, pulse, 0.1, 3.0)) == 31
+    with pytest.raises(ValueError, match="pulse train"):
+        site_amplitude_trace(chain, pulse, 0.1, 3.5)
+    with pytest.raises(ValueError, match="pulse train"):
+        site_amplitude_trace(chain, pulse, 0.8, 3.0)  # grid rounds up to t = 3.2
+
+
 def test_amplitude_trace_free_evolution():
     chain = ChainSpec(n_sites=6)
     trace = site_amplitude_trace(chain, None, 0.05, 3.0)

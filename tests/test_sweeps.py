@@ -25,9 +25,9 @@ def test_infeasible_cells_are_nan_sentinels():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        SweepGrid("a", np.array([1.0, 0.5]), "b", np.array([1.0]), {})
+        SweepGrid("a", np.array([1.0, 0.5]), "b", np.array([1.0]))
     with pytest.raises(ValueError):
-        SweepGrid("a", np.array([]), "b", np.array([1.0]), {})
+        SweepGrid("a", np.array([]), "b", np.array([1.0]))
     with pytest.raises(ValueError):
         sweep_ratio_psi(0.5, [0.8, 1.2], [1.0], 6, 2)
 
@@ -44,6 +44,15 @@ def test_worker_count_does_not_change_results():
     a = sweep_ratio_psi(0.5, ratios, psis, 12, 6, seed=3, workers=1)
     b = sweep_ratio_psi(0.5, ratios, psis, 12, 6, seed=3, workers=3)
     np.testing.assert_array_equal(a.fidelities, b.fidelities)
+
+
+def test_size_sweep_worker_count_does_not_change_results():
+    args = (6.0, 0.8, 1.0, 6, [5, 8, 11])
+    serial = sweep_size(*args, gamma=0.2, eta=0.1, seed=4, workers=1)
+    parallel = sweep_size(*args, gamma=0.2, eta=0.1, seed=4, workers=2)
+    assert serial.free.tobytes() == parallel.free.tobytes()
+    assert serial.controlled.tobytes() == parallel.controlled.tobytes()
+    assert not np.array_equal(serial.free, serial.controlled)
 
 
 def test_sweep_is_deterministic_across_calls():
