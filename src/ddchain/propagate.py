@@ -128,9 +128,11 @@ def site_amplitude_trace(
 
     Samples inside pulse/free segments come from the segment's spectral
     phases directly, so values are exact at every grid time, not only at
-    period boundaries. The grid must end within the pulse train's
-    ``periods * period``. Per-period noise requires the protocol clock,
-    so it is rejected when ``pulse`` is None.
+    period boundaries. ``t_max`` must not pass the end of the pulse
+    train, ``periods * period``; when ``dt`` does not divide ``t_max``
+    the grid end rounds to the nearest step, and up to half a step past
+    the train the protocol simply runs on. Per-period noise requires the
+    protocol clock, so it is rejected when ``pulse`` is None.
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be > 0")
@@ -143,7 +145,7 @@ def site_amplitude_trace(
             raise ValueError("per-period noise needs a pulse protocol clock")
         # One free period spanning the whole grid, even when t_end rounds to 0.
         pulse = PulseSpec(0.0, max(t_end, t_max), 0.0, 1)
-    elif max(t_max, t_end) > pulse.periods * pulse.period * (1 + 1e-12):
+    elif t_max > pulse.periods * pulse.period * (1 + 1e-12):
         raise ValueError(
             f"t_max={t_max:g} runs past the end of the pulse train "
             f"({pulse.periods} periods of {pulse.period:g})"

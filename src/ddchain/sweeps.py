@@ -185,7 +185,8 @@ def sweep_size(
     n_values = np.asarray(n_values, dtype=int)
     chains = [chain_spec(int(n), j, gamma, epsilon, eta, seed) for n in n_values]
     pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
-    values = _fidelities([c for c in chains for _ in pulses], pulses * len(chains), workers)
+    cells = [c for c in chains for _ in pulses], pulses * len(chains)
+    values = _fidelities(*cells, workers if len(chains) > 1 else 1)
     pairs = np.asarray(values).reshape(len(chains), len(pulses))
     return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 

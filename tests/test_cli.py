@@ -109,6 +109,17 @@ def test_pq_check_reports_max_error(tmp_path, capsys):
     assert "max_abs_error" in capsys.readouterr().out
 
 
+def test_pq_check_runs_when_dt_does_not_divide_the_train(tmp_path):
+    # m * tau = 2.6 and round(2.6 / 0.003) = 867: the grid ends at 2.601,
+    # half a step short of one more, just past the train's end.
+    out = tmp_path / "pq.csv"
+    args = ("pq-check", "--n", "8", "--m", "2", "--dt", "0.003", "--out", str(out))
+    assert run_cli(*args) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 868
+    assert float(rows[-1][0]) == pytest.approx(2.601)
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kind=size\npsii=8\n", encoding="utf-8")
