@@ -78,7 +78,7 @@ def run(cfg: RunConfig) -> str:
             np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
             np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
             j=cfg.j, gamma=cfg.gamma, epsilon=cfg.epsilon, eta=cfg.eta,
-            seed=cfg.seed, workers=cfg.workers,
+            seed=cfg.seed,
         )
         summary = _write_sweep(cfg, sweep, results)
     elif cfg.kind == "ratio-psi":
@@ -88,14 +88,14 @@ def run(cfg: RunConfig) -> str:
             np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
             cfg.n, cfg.m,
             j=cfg.j, gamma=cfg.gamma, epsilon=cfg.epsilon, eta=cfg.eta,
-            seed=cfg.seed, workers=cfg.workers,
+            seed=cfg.seed,
         )
         summary = _write_sweep(cfg, sweep, results)
     elif cfg.kind == "size":
         table = sweep_size(
             cfg.psi, cfg.delta, cfg.tau, cfg.m, cfg.n_values,
             j=cfg.j, gamma=cfg.gamma, epsilon=cfg.epsilon, eta=cfg.eta,
-            seed=cfg.seed, workers=cfg.workers,
+            seed=cfg.seed,
         )
         _write_csv(
             cfg.out,

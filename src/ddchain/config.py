@@ -14,7 +14,6 @@ parsing it back is the identity.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 from .errors import DdchainError
@@ -87,6 +86,7 @@ _DEFAULTS = {
     "tau": 1.3,
     "m": 128,
     "seed": 1,
+    "workers": 1,  # accepted for old configs and sidecars; has no effect
     "record_every": 1,
     "n_values": tuple(range(20, 131)),
     "delta_min": 0.02,
@@ -170,7 +170,6 @@ def parse_config(
     merged["kind"] = kind
     # Kind-dependent defaults.
     merged.setdefault("out", f"{kind}.csv")
-    merged.setdefault("workers", os.cpu_count() or 1)
     merged.setdefault("dt", 0.001 if kind == "pq-check" else 0.01)
     if kind == "trace":
         merged.setdefault("gamma", 0.5)

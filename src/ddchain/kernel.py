@@ -29,7 +29,7 @@ import numpy as np
 
 from .eigen import decompose
 from .errors import DdchainError, NumericalError
-from .model import PulseSpec, TridiagonalHamiltonian, control_value
+from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, control_value
 
 
 class LifetimeNotFoundError(DdchainError):
@@ -151,11 +151,14 @@ def solve_p_equation(
     implicit endpoint terms are resolved by one explicit Euler predictor
     and two corrector passes. Second-order convergence in dt.
 
-    Raises NumericalError if |P| exceeds 1.05, the step-size instability
+    Raises ValueError when ``t_max`` runs past the end of the pulse
+    train, and NumericalError if |P| exceeds 1.05, the step-size instability
     guard (the exact solution has |P| <= 1).
     """
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be > 0")
+    if control is not None:
+        check_within_train(control, t_max)
     stride = int(round(dt / kernel.dt))
     if stride < 1 or abs(stride * kernel.dt - dt) > 1e-9 * dt:
         raise ValueError(
@@ -171,18 +174,15 @@ def solve_p_equation(
     g = g[: n + 1]
     grev = g[::-1].copy()
 
-    def h(t: float) -> float:
-        if control is None:
-            return drive_offset
-        return drive_offset + control_value(control, t)
-
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
     half = 0.5 * dt
     g0 = g[0]
     mem = 0.0 + 0.0j  # trapezoid memory integral at the current step
     for i in range(n):
-        h_mid = h((i + 0.5) * dt)
+        h_mid = drive_offset
+        if control is not None:
+            h_mid += control_value(control, (i + 0.5) * dt)
         deriv_i = -1j * h_mid * p[i] - mem
         # History part of the next memory integral (all terms except the
         # implicit p[i+1] endpoint): dt * (g[i+1] p0 / 2 + sum_{j=1..i} g[i+1-j] p[j]).

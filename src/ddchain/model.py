@@ -161,7 +161,7 @@ def sample_period_noise(spec: ChainSpec, period_index: int) -> np.ndarray:
     return spec.per_period_noise * stream.uniform_open_vector(spec.n_sites - 1)
 
 
-def _offsets(spec: ChainSpec, values, length: int, what: str) -> np.ndarray:
+def _offsets(values, length: int, what: str) -> np.ndarray:
     if values is None:
         return np.zeros(length)
     arr = np.asarray(values, dtype=float)
@@ -181,8 +181,8 @@ def build_free_hamiltonian(
     """
     n = spec.n_sites
     diag = np.zeros(n) if spec.site_energies is None else np.asarray(spec.site_energies, float).copy()
-    diag += _offsets(spec, site_offsets, n, "site_offsets")
-    off = np.full(n - 1, spec.coupling) + _offsets(spec, bond_offsets, n - 1, "bond_offsets")
+    diag += _offsets(site_offsets, n, "site_offsets")
+    off = np.full(n - 1, spec.coupling) + _offsets(bond_offsets, n - 1, "bond_offsets")
     return TridiagonalHamiltonian(diag, off)
 
 
@@ -214,3 +214,10 @@ def control_value(pulse: PulseSpec, t: float) -> float:
         return 0.0
     frac = t - pulse.period * math.floor(t / pulse.period)
     return pulse.strength if frac < pulse.width else 0.0
+
+
+def check_within_train(pulse: PulseSpec, t_max: float) -> None:
+    """Raise ValueError when ``t_max`` runs past the end of the pulse train."""
+    if t_max > pulse.periods * pulse.period * (1 + 1e-12):
+        raise ValueError(f"t_max={t_max:g} runs past the end of the pulse train "
+                         f"({pulse.periods} periods of {pulse.period:g})")

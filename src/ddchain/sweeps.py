@@ -1,16 +1,16 @@
 """Sweep jobs over the protocol parameter space.
 
 Each study produces a plain table of results from a grid of independent
-protocol runs. Cells are pure functions of their parameters, so grids
-can be computed by a process pool in any order; results land in
-preallocated slots by cell index and the output never depends on worker
-count. Infeasible cells (pulse width exceeding the period) are kept in
-the table as NaN sentinels rather than dropped.
+protocol runs. The cells of a grid go to ``propagate.final_fidelities``
+in one call, which advances every cell of one pulse strength together
+as a block; each cell's value is a pure function of its parameters and
+does not depend on which other cells share its block. Infeasible cells
+(pulse width exceeding the period) are kept in the table as NaN
+sentinels rather than dropped.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ from .model import (
     environment_block,
     sample_static_disorder,
 )
-from .propagate import final_fidelity, run_protocol, site_amplitude_trace
+from .propagate import final_fidelities, run_protocol, site_amplitude_trace
 
 INFEASIBLE = float("nan")
 
@@ -79,43 +79,19 @@ class PqComparison:
     abs_error: np.ndarray
 
 
-def _fidelities(chains, pulses, workers: int) -> list[float]:
-    """Final fidelity of each (chain, pulse) cell, in cell order, computed
-    serially or on a process pool."""
-    if workers <= 1 or len(pulses) <= 1:
-        return list(map(final_fidelity, chains, pulses))
-    chunk = max(1, len(pulses) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(final_fidelity, chains, pulses, chunksize=chunk))
-
-
 def chain_spec(n, j, gamma, epsilon, eta, seed) -> ChainSpec:
     """ChainSpec from the run-config names of its parameters."""
-    return ChainSpec(
-        n_sites=n,
-        coupling=j,
-        static_coupling_disorder=gamma,
-        band_broadening=epsilon,
-        per_period_noise=eta,
-        seed=seed,
-    )
+    return ChainSpec(n_sites=n, coupling=j, static_coupling_disorder=gamma,
+                     band_broadening=epsilon, per_period_noise=eta, seed=seed)
 
 
-def _sweep_grid(grid: SweepGrid, chain: ChainSpec, pulse_at, workers: int) -> SweepResult:
-    """Final fidelity at every (axis1, axis2) cell of ``grid``.
-
-    ``pulse_at(x, y)`` gives the cell's pulse, or None for an infeasible
-    cell, which stays in the table as a NaN sentinel.
-    """
+def _sweep_grid(grid: SweepGrid, chain: ChainSpec, pulse_at) -> SweepResult:
+    """Final fidelity at every (axis1, axis2) cell of ``grid``. ``pulse_at(x, y)``
+    gives the cell's pulse, or None for an infeasible cell (a NaN sentinel)."""
     table = np.full((len(grid.axis1), len(grid.axis2)), INFEASIBLE)
-    cells = {}
-    for a, x in enumerate(grid.axis1):
-        for b, y in enumerate(grid.axis2):
-            pulse = pulse_at(x, y)
-            if pulse is not None:
-                cells[a, b] = pulse
-    pulses = list(cells.values())
-    for slot, value in zip(cells, _fidelities([chain] * len(pulses), pulses, workers)):
+    cells = {(a, b): pulse for a, x in enumerate(grid.axis1) for b, y in enumerate(grid.axis2)
+             if (pulse := pulse_at(x, y)) is not None}
+    for slot, value in zip(cells, final_fidelities(chain, list(cells.values()))):
         table[slot] = value
     return SweepResult(grid, table)
 
@@ -131,7 +107,6 @@ def sweep_delta_tau(
     epsilon: float = 0.0,
     eta: float = 0.0,
     seed: int = 1,
-    workers: int = 1,
 ) -> SweepResult:
     """Final fidelity over a (width, period) grid at fixed strength."""
     grid = SweepGrid("delta", np.asarray(delta_values, dtype=float),
@@ -139,7 +114,6 @@ def sweep_delta_tau(
     return _sweep_grid(
         grid, chain_spec(n, j, gamma, epsilon, eta, seed),
         lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m),
-        workers,
     )
 
 
@@ -154,7 +128,6 @@ def sweep_ratio_psi(
     epsilon: float = 0.0,
     eta: float = 0.0,
     seed: int = 1,
-    workers: int = 1,
 ) -> SweepResult:
     """Final fidelity over (period/width ratio, strength) at fixed width."""
     ratio_values = np.asarray(ratio_values, dtype=float)
@@ -164,7 +137,6 @@ def sweep_ratio_psi(
     return _sweep_grid(
         grid, chain_spec(n, j, gamma, epsilon, eta, seed),
         lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m),
-        workers,
     )
 
 
@@ -179,15 +151,12 @@ def sweep_size(
     epsilon: float = 0.0,
     eta: float = 0.0,
     seed: int = 1,
-    workers: int = 1,
 ) -> SizeSweep:
     """Free and controlled final fidelity for each chain size."""
     n_values = np.asarray(n_values, dtype=int)
-    chains = [chain_spec(int(n), j, gamma, epsilon, eta, seed) for n in n_values]
     pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
-    cells = [c for c in chains for _ in pulses], pulses * len(chains)
-    values = _fidelities(*cells, workers if len(chains) > 1 else 1)
-    pairs = np.asarray(values).reshape(len(chains), len(pulses))
+    pairs = np.array([final_fidelities(chain_spec(int(n), j, gamma, epsilon, eta, seed), pulses)
+                      for n in n_values]).reshape(len(n_values), 2)
     return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 
 

@@ -1,9 +1,14 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ddchain
 from ddchain.cli import _build_parser, main, sidecar_path
 from ddchain.config import KINDS, RunConfig, parse_config
 
@@ -62,6 +67,23 @@ def test_worker_count_does_not_change_csv(tmp_path):
     assert run_cli(*args, "--workers", "1", "--out", str(out1)) == 0
     assert run_cli(*args, "--workers", "3", "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_blas_thread_count_does_not_change_csv(tmp_path):
+    src = str(Path(ddchain.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "ddchain", "delta-tau", "--delta-steps", "18",
+             "--tau-steps", "18", "--m", "4", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0].count(b"\n") == 18 * 18 + 1
+    assert outputs[0] == outputs[1]
 
 
 def test_delta_tau_emits_nan_sentinels(tmp_path):

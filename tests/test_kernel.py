@@ -170,6 +170,13 @@ def test_pq_check_rejects_time_past_pulse_train():
         pq_check(ChainSpec(n_sites=5), pulse, 1e-3, 4.5)
 
 
+def test_p_equation_rejects_time_past_pulse_train():
+    trace = correlation_kernel(free_env(4), 1.0, 0.01, 2.0)
+    with pytest.raises(ValueError, match="pulse train"):
+        solve_p_equation(trace, PulseSpec(5.0, 1.0, 0.5, 1), 2.0, 0.01)
+    assert len(solve_p_equation(trace, PulseSpec(5.0, 1.0, 0.5, 2), 2.0, 0.01).values) == 201
+
+
 def test_pq_check_rejects_period_noise():
     with pytest.raises(ValueError):
         pq_check(ChainSpec(n_sites=5, per_period_noise=0.1), None, 1e-3, 2.0)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ddchain.eigen import decompose
+from ddchain import propagate
+from ddchain.eigen import SpectralDecomposition, decompose
+from ddchain.errors import NumericalError
 from ddchain.model import (
     ChainSpec,
     PulseSpec,
@@ -12,8 +14,10 @@ from ddchain.model import (
     build_free_hamiltonian,
 )
 from ddchain.propagate import (
+    _period_decompositions,
     evolve_interval,
     fidelity,
+    final_fidelities,
     final_fidelity,
     initial_state,
     run_protocol,
@@ -175,3 +179,111 @@ def test_amplitude_trace_free_evolution():
 def test_landmark_controlled_fidelity():
     value = final_fidelity(ChainSpec(n_sites=130), PulseSpec(8.0, 1.3, 1.2, 128))
     assert value == pytest.approx(0.98, abs=0.02)
+
+
+def oracle_final_fidelity(chain, pulse):
+    """The per-cell propagator the batched step replaced: one state
+    vector, two complex matvecs per segment, zero-duration segments
+    skipped."""
+
+    def evolve(state, dec, duration):
+        if duration == 0.0:
+            return state
+        v = dec.eigenvectors.astype(complex)
+        return v @ (np.exp(-1j * dec.eigenvalues * duration) * (v.T @ state))
+
+    state = initial_state(chain.n_sites)
+    schedule = _period_decompositions(chain, pulse)
+    for _, (pulsed, free) in zip(range(pulse.periods), schedule):
+        state = evolve(state, pulsed, pulse.width)
+        state = evolve(state, free, pulse.period - pulse.width)
+    return abs(state[0])
+
+
+DISORDERED_CHAINS = [
+    ChainSpec(n_sites=14, seed=3),
+    ChainSpec(n_sites=14, static_coupling_disorder=0.3, seed=3),
+    ChainSpec(n_sites=14, band_broadening=0.4, seed=3),
+    ChainSpec(n_sites=14, per_period_noise=0.2, seed=3),
+]
+
+
+@pytest.mark.parametrize("chain", DISORDERED_CHAINS)
+def test_batched_delta_tau_grid_matches_per_cell_oracle(chain):
+    # Several strengths (psi = 0 included), delta = 0 and delta = tau cells.
+    pulses = [PulseSpec(psi, tau, delta, 6)
+              for psi in (0.0, 3.0, 8.0)
+              for delta in (0.0, 0.4, 0.9)
+              for tau in (0.4, 0.9, 1.3) if delta <= tau]
+    batched = final_fidelities(chain, pulses)
+    oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
+    assert np.abs(batched - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("chain", DISORDERED_CHAINS)
+def test_batched_ratio_psi_grid_matches_per_cell_oracle(chain):
+    delta = 0.3
+    pulses = [PulseSpec(psi, ratio * delta, delta, 5)
+              for ratio in (1.0, 1.5, 2.5) for psi in (0.0, 2.0, 6.0, 15.0)]
+    batched = final_fidelities(chain, pulses)
+    oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
+    assert np.abs(batched - oracle).max() <= 1e-12
+
+
+def test_batched_cells_are_bit_equal_to_cells_run_alone():
+    chain = ChainSpec(n_sites=130)
+    pulses = [PulseSpec(8.0, tau, delta, 16)
+              for delta in np.linspace(0.02, 2.0, 18)
+              for tau in np.linspace(0.02, 2.5, 18) if delta <= tau]
+    batched = final_fidelities(chain, pulses)
+    assert len(pulses) == 195
+    for pulse, value in zip(pulses, batched):
+        assert value.tobytes() == np.float64(final_fidelity(chain, pulse)).tobytes(), pulse
+
+
+def test_final_fidelity_is_last_recorded_fidelity():
+    chain = ChainSpec(n_sites=20, per_period_noise=0.1, seed=4)
+    pulse = PulseSpec(6.0, 1.1, 0.7, 9)
+    assert final_fidelity(chain, pulse) == run_protocol(chain, pulse).fidelities[-1]
+    assert len(final_fidelities(chain, [])) == 0
+
+
+def test_norm_drift_raises_numerical_error(monkeypatch):
+    def scaled(chain, pulse):
+        for pulsed, free in real_schedule(chain, pulse):
+            yield pulsed, SpectralDecomposition(free.eigenvalues, 1.001 * free.eigenvectors)
+
+    real_schedule = propagate._period_decompositions
+    monkeypatch.setattr(propagate, "_period_decompositions", scaled)
+    with pytest.raises(NumericalError, match="norm"):
+        final_fidelities(ChainSpec(n_sites=8), [PulseSpec(5.0, 1.0, 0.5, 3)])
+    with pytest.raises(NumericalError, match="norm"):
+        run_protocol(ChainSpec(n_sites=8), PulseSpec(5.0, 1.0, 0.5, 3))
+
+
+def test_batched_matches_oracle_on_random_chains():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    pulse_st = st.builds(
+        lambda psi, tau, frac, m: PulseSpec(psi, tau, frac * tau, m),
+        st.floats(-10.0, 10.0), st.floats(0.05, 2.0), st.floats(0.0, 1.0), st.integers(1, 6),
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(2, 12),
+        coupling=st.floats(-2.0, 2.0),
+        gamma=st.floats(0.0, 0.5),
+        epsilon=st.floats(0.0, 0.5),
+        eta=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**64 - 1),
+        pulses=st.lists(pulse_st, min_size=1, max_size=12),
+    )
+    def check(n, coupling, gamma, epsilon, eta, seed, pulses):
+        chain = ChainSpec(n, coupling, None, gamma, epsilon, eta, seed)
+        batched = final_fidelities(chain, pulses)
+        oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
+        assert np.abs(batched - oracle).max() <= 1e-12
+
+    check()

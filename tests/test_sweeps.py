@@ -32,29 +32,6 @@ def test_grid_validation():
         sweep_ratio_psi(0.5, [0.8, 1.2], [1.0], 6, 2)
 
 
-def test_worker_count_does_not_change_results():
-    deltas = np.linspace(0.2, 1.2, 4)
-    taus = np.linspace(0.3, 1.5, 4)
-    serial = sweep_delta_tau(6.0, 16, 8, deltas, taus, seed=3, workers=1)
-    parallel = sweep_delta_tau(6.0, 16, 8, deltas, taus, seed=3, workers=2)
-    np.testing.assert_array_equal(serial.fidelities, parallel.fidelities)
-
-    ratios = np.linspace(1.0, 1.8, 3)
-    psis = np.linspace(2.0, 10.0, 3)
-    a = sweep_ratio_psi(0.5, ratios, psis, 12, 6, seed=3, workers=1)
-    b = sweep_ratio_psi(0.5, ratios, psis, 12, 6, seed=3, workers=3)
-    np.testing.assert_array_equal(a.fidelities, b.fidelities)
-
-
-def test_size_sweep_worker_count_does_not_change_results():
-    args = (6.0, 0.8, 1.0, 6, [5, 8, 11])
-    serial = sweep_size(*args, gamma=0.2, eta=0.1, seed=4, workers=1)
-    parallel = sweep_size(*args, gamma=0.2, eta=0.1, seed=4, workers=2)
-    assert serial.free.tobytes() == parallel.free.tobytes()
-    assert serial.controlled.tobytes() == parallel.controlled.tobytes()
-    assert not np.array_equal(serial.free, serial.controlled)
-
-
 def test_sweep_is_deterministic_across_calls():
     deltas = np.linspace(0.2, 1.2, 3)
     taus = np.linspace(0.3, 1.5, 3)
@@ -73,7 +50,7 @@ def test_size_sweep_free_oscillates_controlled_flat():
     # Free evolution zigzags strongly with chain size (decreasing with n);
     # the controlled protocol is flat near one across all sizes.
     n_values = np.arange(20, 61)
-    table = sweep_size(8.0, 1.2, 1.3, 128, n_values, workers=2)
+    table = sweep_size(8.0, 1.2, 1.3, 128, n_values)
     free_steps = np.abs(np.diff(table.free))
     assert free_steps.mean() >= 0.03
     assert free_steps[:20].mean() > free_steps[20:].mean()
