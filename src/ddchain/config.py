@@ -27,41 +27,49 @@ class ConfigError(DdchainError):
     """Malformed, unknown, missing, or out-of-range configuration input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Fully validated parameters of one CLI run."""
+    """Fully validated parameters of one CLI run. The field defaults are
+    the kind-independent run defaults; ``_kind_defaults`` gives the rest."""
 
     kind: str
-    n: int
-    j: float
-    psi: float
-    delta: float
-    tau: float
-    m: int
+    n: int = 130
+    j: float = 1.0
+    psi: float = 8.0
+    delta: float = 1.2
+    tau: float = 1.3
+    m: int = 128
     gamma: float
     epsilon: float
     eta: float
-    seed: int
-    workers: int
+    seed: int = 1
+    workers: int = 1  # accepted for old configs and sidecars; has no effect
     out: str
-    record_every: int
-    n_values: tuple[int, ...]
-    delta_min: float
-    delta_max: float
-    delta_steps: int
-    tau_min: float
-    tau_max: float
-    tau_steps: int
-    ratio_min: float
-    ratio_max: float
-    ratio_steps: int
-    psi_min: float
-    psi_max: float
-    psi_steps: int
+    record_every: int = 1
+    n_values: tuple[int, ...] = tuple(range(20, 131))
+    delta_min: float = 0.02
+    delta_max: float = 2.0
+    delta_steps: int = 100
+    tau_min: float = 0.02
+    tau_max: float = 2.5
+    tau_steps: int = 100
+    ratio_min: float = 1.0
+    ratio_max: float = 2.0
+    ratio_steps: int = 100
+    psi_min: float = 0.0
+    psi_max: float = 20.0
+    psi_steps: int = 100
     dt: float
-    t_max: float
-    threshold: float
-    hold: float
+    t_max: float = 5.0
+    threshold: float = 0.02
+    hold: float = 0.5
+
+
+def _kind_defaults(kind: str) -> dict[str, object]:
+    """The defaults that depend on the experiment kind."""
+    gamma, epsilon, eta = (0.5, 0.5, 0.1) if kind == "trace" else (0.0, 0.0, 0.0)
+    return {"out": f"{kind}.csv", "dt": 0.001 if kind == "pq-check" else 0.01,
+            "gamma": gamma, "epsilon": epsilon, "eta": eta}
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -76,35 +84,6 @@ _PARSERS = {
     for f in fields(RunConfig)
 }
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "float")
-
-# Defaults that do not depend on the experiment kind.
-_DEFAULTS = {
-    "n": 130,
-    "j": 1.0,
-    "psi": 8.0,
-    "delta": 1.2,
-    "tau": 1.3,
-    "m": 128,
-    "seed": 1,
-    "workers": 1,  # accepted for old configs and sidecars; has no effect
-    "record_every": 1,
-    "n_values": tuple(range(20, 131)),
-    "delta_min": 0.02,
-    "delta_max": 2.0,
-    "delta_steps": 100,
-    "tau_min": 0.02,
-    "tau_max": 2.5,
-    "tau_steps": 100,
-    "ratio_min": 1.0,
-    "ratio_max": 2.0,
-    "ratio_steps": 100,
-    "psi_min": 0.0,
-    "psi_max": 20.0,
-    "psi_steps": 100,
-    "t_max": 5.0,
-    "threshold": 0.02,
-    "hold": 0.5,
-}
 
 # Kinds that consume the single (delta, tau) pair and so must satisfy
 # delta <= tau up front.
@@ -165,22 +144,7 @@ def parse_config(
     if kind not in KINDS:
         raise ConfigError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
 
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    merged["kind"] = kind
-    # Kind-dependent defaults.
-    merged.setdefault("out", f"{kind}.csv")
-    merged.setdefault("dt", 0.001 if kind == "pq-check" else 0.01)
-    if kind == "trace":
-        merged.setdefault("gamma", 0.5)
-        merged.setdefault("epsilon", 0.5)
-        merged.setdefault("eta", 0.1)
-    else:
-        merged.setdefault("gamma", 0.0)
-        merged.setdefault("epsilon", 0.0)
-        merged.setdefault("eta", 0.0)
-
-    config = RunConfig(**merged)
+    config = RunConfig(**{**_kind_defaults(kind), **values, "kind": kind})
     _validate(config)
     return config
 

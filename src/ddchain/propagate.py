@@ -59,11 +59,13 @@ def _step(block: np.ndarray, decomposition: SpectralDecomposition,
     ``durations[j]``: S <- V (exp(-i E t) * (V^T S)), both products real
     GEMMs on the block's float view. Zero-duration columns stay exact."""
     v = decomposition.eigenvectors
+    busy = durations != 0.0
+    phases = np.ones(block.shape, dtype=complex)
+    np.exp(-1j * np.outer(decomposition.eigenvalues, durations), out=phases, where=busy)
     coeffs = (v.T @ block.view(float)).view(complex)
-    coeffs *= np.exp(-1j * np.outer(decomposition.eigenvalues, durations))
+    coeffs *= phases
     out = (v @ coeffs.view(float)).view(complex)
-    idle = durations == 0.0
-    out[:, idle] = block[:, idle]
+    out[:, ~busy] = block[:, ~busy]
     return out
 
 

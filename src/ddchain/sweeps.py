@@ -1,7 +1,8 @@
 """Sweep jobs over the protocol parameter space.
 
-Each study produces a plain table of results from a grid of independent
-protocol runs. The cells of a grid go to ``propagate.final_fidelities``
+Each study takes the chain it runs on, a ``ChainSpec``, first, and
+produces a plain table of results from a grid of independent protocol
+runs. The cells of a grid go to ``propagate.final_fidelities``
 in one call, which advances every cell of one pulse strength together
 as a block; each cell's value is a pure function of its parameters and
 does not depend on which other cells share its block. Infeasible cells
@@ -11,7 +12,7 @@ sentinels rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,12 +80,6 @@ class PqComparison:
     abs_error: np.ndarray
 
 
-def chain_spec(n, j, gamma, epsilon, eta, seed) -> ChainSpec:
-    """ChainSpec from the run-config names of its parameters."""
-    return ChainSpec(n_sites=n, coupling=j, static_coupling_disorder=gamma,
-                     band_broadening=epsilon, per_period_noise=eta, seed=seed)
-
-
 def _sweep_grid(grid: SweepGrid, chain: ChainSpec, pulse_at) -> SweepResult:
     """Final fidelity at every (axis1, axis2) cell of ``grid``. ``pulse_at(x, y)``
     gives the cell's pulse, or None for an infeasible cell (a NaN sentinel)."""
@@ -96,100 +91,58 @@ def _sweep_grid(grid: SweepGrid, chain: ChainSpec, pulse_at) -> SweepResult:
     return SweepResult(grid, table)
 
 
-def sweep_delta_tau(
-    psi: float,
-    n: int,
-    m: int,
-    delta_values,
-    tau_values,
-    j: float = 1.0,
-    gamma: float = 0.0,
-    epsilon: float = 0.0,
-    eta: float = 0.0,
-    seed: int = 1,
-) -> SweepResult:
+def sweep_delta_tau(chain: ChainSpec, psi: float, m: int, delta_values, tau_values) -> SweepResult:
     """Final fidelity over a (width, period) grid at fixed strength."""
     grid = SweepGrid("delta", np.asarray(delta_values, dtype=float),
                      "tau", np.asarray(tau_values, dtype=float))
     return _sweep_grid(
-        grid, chain_spec(n, j, gamma, epsilon, eta, seed),
-        lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m),
+        grid, chain, lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m)
     )
 
 
-def sweep_ratio_psi(
-    delta: float,
-    ratio_values,
-    psi_values,
-    n: int,
-    m: int,
-    j: float = 1.0,
-    gamma: float = 0.0,
-    epsilon: float = 0.0,
-    eta: float = 0.0,
-    seed: int = 1,
-) -> SweepResult:
+def sweep_ratio_psi(chain: ChainSpec, delta: float, m: int, ratio_values,
+                    psi_values) -> SweepResult:
     """Final fidelity over (period/width ratio, strength) at fixed width."""
     ratio_values = np.asarray(ratio_values, dtype=float)
     if np.any(ratio_values < 1.0):
         raise ValueError("ratios must be >= 1 so the width fits in the period")
     grid = SweepGrid("ratio", ratio_values, "psi", np.asarray(psi_values, dtype=float))
-    return _sweep_grid(
-        grid, chain_spec(n, j, gamma, epsilon, eta, seed),
-        lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m),
-    )
+    return _sweep_grid(grid, chain, lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m))
 
 
-def sweep_size(
-    psi: float,
-    delta: float,
-    tau: float,
-    m: int,
-    n_values,
-    j: float = 1.0,
-    gamma: float = 0.0,
-    epsilon: float = 0.0,
-    eta: float = 0.0,
-    seed: int = 1,
-) -> SizeSweep:
-    """Free and controlled final fidelity for each chain size."""
+def sweep_size(chain: ChainSpec, psi: float, delta: float, tau: float, m: int,
+               n_values) -> SizeSweep:
+    """Free and controlled final fidelity of ``chain`` resized to each of
+    ``n_values``; ``chain.n_sites`` is not used."""
     n_values = np.asarray(n_values, dtype=int)
     pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
-    pairs = np.array([final_fidelities(chain_spec(int(n), j, gamma, epsilon, eta, seed), pulses)
+    pairs = np.array([final_fidelities(replace(chain, n_sites=int(n)), pulses)
                       for n in n_values]).reshape(len(n_values), 2)
     return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 
 
-def trace_variants(
-    psi: float,
-    delta: float,
-    tau: float,
-    m: int,
-    n: int,
-    j: float = 1.0,
-    gamma: float = 0.5,
-    epsilon: float = 0.5,
-    eta: float = 0.1,
-    seed: int = 1,
-    record_every: int = 1,
-) -> VariantTraces:
+def trace_variants(chain: ChainSpec, psi: float, delta: float, tau: float, m: int,
+                   record_every: int = 1) -> VariantTraces:
     """Fidelity time series for free evolution and the four controlled
     variants: clean chain, site-energy broadening, static bond disorder,
     per-period bond noise.
 
-    All variants draw from the streams of one seed, so each disorder
-    amplitude perturbs the same underlying realization.
+    The free and clean runs zero ``chain``'s three disorder amplitudes;
+    each disordered variant switches one of them back on. All variants
+    draw from the streams of the one seed, so each amplitude perturbs the
+    same underlying realization.
     """
+    clean = replace(chain, static_coupling_disorder=0.0, band_broadening=0.0,
+                    per_period_noise=0.0)
     pulse_ctrl = PulseSpec(psi, tau, delta, m)
-    runs = {
-        "free": (PulseSpec(0.0, tau, delta, m), chain_spec(n, j, 0.0, 0.0, 0.0, seed)),
-        "constant": (pulse_ctrl, chain_spec(n, j, 0.0, 0.0, 0.0, seed)),
-        "broadening": (pulse_ctrl, chain_spec(n, j, 0.0, epsilon, 0.0, seed)),
-        "static_random": (pulse_ctrl, chain_spec(n, j, gamma, 0.0, 0.0, seed)),
-        "period_noise": (pulse_ctrl, chain_spec(n, j, 0.0, 0.0, eta, seed)),
-    }
-    records = [run_protocol(chain, pulse, record_every=record_every)
-               for pulse, chain in runs.values()]
+    runs = [
+        (PulseSpec(0.0, tau, delta, m), clean),
+        (pulse_ctrl, clean),
+        (pulse_ctrl, replace(clean, band_broadening=chain.band_broadening)),
+        (pulse_ctrl, replace(clean, static_coupling_disorder=chain.static_coupling_disorder)),
+        (pulse_ctrl, replace(clean, per_period_noise=chain.per_period_noise)),
+    ]
+    records = [run_protocol(c, pulse, record_every=record_every) for pulse, c in runs]
     return VariantTraces(records[0].times, *(r.fidelities for r in records))
 
 

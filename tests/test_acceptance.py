@@ -27,7 +27,7 @@ def check(name, condition, detail):
 
 def test_criterion_1_size_independent_controlled_fidelity():
     sizes = [50, 70, 90, 110, 130]
-    table = sweep_size(PSI, DELTA, TAU, M, sizes)
+    table = sweep_size(ChainSpec(n_sites=130), PSI, DELTA, TAU, M, sizes)
     deviation = np.abs(table.controlled - 0.98).max()
     spread = table.controlled.std()
     check(
@@ -50,7 +50,7 @@ def test_criterion_2_kernel_normalization_and_lifetime():
 
 
 def test_criterion_3_pulse_width_upper_bound():
-    result = sweep_delta_tau(PSI, 130, M, [0.05, 1.2, 1.6], [0.06, 1.3, 1.7])
+    result = sweep_delta_tau(ChainSpec(n_sites=130), PSI, M, [0.05, 1.2, 1.6], [0.06, 1.3, 1.7])
     corner = result.fidelities[0, 0]   # near the fast-pulse limit
     inside = result.fidelities[1, 1]   # width 1.2, period 1.3
     outside = result.fidelities[2, 2]  # width 1.6, period 1.7
@@ -64,7 +64,7 @@ def test_criterion_3_pulse_width_upper_bound():
 
 
 def test_criterion_4_pulse_strength_window():
-    result = sweep_ratio_psi(0.5, [1.3], [3.0, 7.5, 14.0], 130, M)
+    result = sweep_ratio_psi(ChainSpec(n_sites=130), 0.5, M, [1.3], [3.0, 7.5, 14.0])
     low, mid, high = result.fidelities[0]
     check(
         "pulse-strength window brackets [6, 9] at width 0.5",
@@ -121,7 +121,11 @@ def test_criterion_6_eigensolver_oracle_spectra():
 
 
 def test_criterion_7_disorder_robustness_of_controlled_traces():
-    traces = trace_variants(PSI, DELTA, TAU, M, n=130, gamma=0.5, epsilon=0.5, eta=0.1, seed=1)
+    traces = trace_variants(
+        ChainSpec(n_sites=130, static_coupling_disorder=0.5, band_broadening=0.5,
+                  per_period_noise=0.1, seed=1),
+        PSI, DELTA, TAU, M,
+    )
     dev_broadening = np.abs(traces.broadening - traces.constant).max()
     dev_static = np.abs(traces.static_random - traces.constant).max()
     dev_noise = np.abs(traces.period_noise - traces.constant).max()

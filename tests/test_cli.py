@@ -142,6 +142,14 @@ def test_pq_check_runs_when_dt_does_not_divide_the_train(tmp_path):
     assert float(rows[-1][0]) == pytest.approx(2.601)
 
 
+def test_failed_sidecar_write_leaves_no_csv(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    (tmp_path / "k.csv.meta").mkdir()
+    assert run_cli("kernel", "--n", "10", "--out", str(out)) == 1
+    assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv.meta"]
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kind=size\npsii=8\n", encoding="utf-8")

@@ -92,6 +92,43 @@ def test_kind_dependent_defaults():
     assert parse_config(kind="trace", overrides={"gamma": "0.0"}).gamma == 0.0
 
 
+DEFAULT_N_VALUES = (
+    "20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,"
+    "50,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66,67,68,69,70,71,72,73,74,75,76,77,78,79,"
+    "80,81,82,83,84,85,86,87,88,89,90,91,92,93,94,95,96,97,98,99,100,101,102,103,104,105,106,"
+    "107,108,109,110,111,112,113,114,115,116,117,118,119,120,121,122,123,124,125,126,127,128,"
+    "129,130"
+)
+
+
+def default_lines(kind, dt, gamma, epsilon, eta):
+    return [
+        f"kind={kind}", "n=130", "j=1.0", "psi=8.0", "delta=1.2", "tau=1.3", "m=128",
+        f"gamma={gamma}", f"epsilon={epsilon}", f"eta={eta}", "seed=1", "workers=1",
+        f"out={kind}.csv", "record_every=1", f"n_values={DEFAULT_N_VALUES}",
+        "delta_min=0.02", "delta_max=2.0", "delta_steps=100",
+        "tau_min=0.02", "tau_max=2.5", "tau_steps=100",
+        "ratio_min=1.0", "ratio_max=2.0", "ratio_steps=100",
+        "psi_min=0.0", "psi_max=20.0", "psi_steps=100",
+        f"dt={dt}", "t_max=5.0", "threshold=0.02", "hold=0.5",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("delta-tau", default_lines("delta-tau", "0.01", "0.0", "0.0", "0.0")),
+        ("size", default_lines("size", "0.01", "0.0", "0.0", "0.0")),
+        ("trace", default_lines("trace", "0.01", "0.5", "0.5", "0.1")),
+        ("ratio-psi", default_lines("ratio-psi", "0.01", "0.0", "0.0", "0.0")),
+        ("kernel", default_lines("kernel", "0.01", "0.0", "0.0", "0.0")),
+        ("pq-check", default_lines("pq-check", "0.001", "0.0", "0.0", "0.0")),
+    ],
+)
+def test_every_default_is_pinned(kind, expected):
+    assert config_to_lines(parse_config(kind=kind)) == expected
+
+
 @pytest.mark.parametrize(
     "line",
     [

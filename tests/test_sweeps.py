@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddchain.model import ChainSpec
 from ddchain.sweeps import (
     SweepGrid,
     sweep_delta_tau,
@@ -13,13 +14,13 @@ from ddchain.sweeps import (
 def test_infeasible_cells_are_nan_sentinels():
     deltas = [0.5, 1.0, 1.5]
     taus = [0.4, 0.9, 1.4]
-    result = sweep_delta_tau(4.0, 10, 4, deltas, taus, seed=1)
+    result = sweep_delta_tau(ChainSpec(n_sites=10, seed=1), 4.0, 4, deltas, taus)
     expected_bad = sum(1 for d in deltas for t in taus if d > t)
     assert int(np.isnan(result.fidelities).sum()) == expected_bad
     feasible = result.fidelities[~np.isnan(result.fidelities)]
     assert np.all((feasible >= 0.0) & (feasible <= 1.0 + 1e-12))
     # Width equal to period is feasible, not sentinel.
-    eq = sweep_delta_tau(4.0, 6, 2, [0.5], [0.5], seed=1)
+    eq = sweep_delta_tau(ChainSpec(n_sites=6, seed=1), 4.0, 2, [0.5], [0.5])
     assert not np.isnan(eq.fidelities[0, 0])
 
 
@@ -29,19 +30,19 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid("a", np.array([]), "b", np.array([1.0]))
     with pytest.raises(ValueError):
-        sweep_ratio_psi(0.5, [0.8, 1.2], [1.0], 6, 2)
+        sweep_ratio_psi(ChainSpec(n_sites=6), 0.5, 2, [0.8, 1.2], [1.0])
 
 
 def test_sweep_is_deterministic_across_calls():
     deltas = np.linspace(0.2, 1.2, 3)
     taus = np.linspace(0.3, 1.5, 3)
-    a = sweep_delta_tau(6.0, 10, 4, deltas, taus, seed=5)
-    b = sweep_delta_tau(6.0, 10, 4, deltas, taus, seed=5)
+    a = sweep_delta_tau(ChainSpec(n_sites=10, seed=5), 6.0, 4, deltas, taus)
+    b = sweep_delta_tau(ChainSpec(n_sites=10, seed=5), 6.0, 4, deltas, taus)
     np.testing.assert_array_equal(a.fidelities, b.fidelities)
 
 
 def test_size_sweep_degenerate_chain():
-    table = sweep_size(8.0, 0.5, 1.0, 4, [2, 3], j=0.0)
+    table = sweep_size(ChainSpec(n_sites=2, coupling=0.0), 8.0, 0.5, 1.0, 4, [2, 3])
     assert np.allclose(table.free, 1.0, atol=1e-12)
     assert np.allclose(table.controlled, 1.0, atol=1e-12)
 
@@ -50,7 +51,7 @@ def test_size_sweep_free_oscillates_controlled_flat():
     # Free evolution zigzags strongly with chain size (decreasing with n);
     # the controlled protocol is flat near one across all sizes.
     n_values = np.arange(20, 61)
-    table = sweep_size(8.0, 1.2, 1.3, 128, n_values)
+    table = sweep_size(ChainSpec(n_sites=20), 8.0, 1.2, 1.3, 128, n_values)
     free_steps = np.abs(np.diff(table.free))
     assert free_steps.mean() >= 0.03
     assert free_steps[:20].mean() > free_steps[20:].mean()
@@ -59,7 +60,7 @@ def test_size_sweep_free_oscillates_controlled_flat():
 
 
 def test_trace_variants_collapse_without_disorder():
-    traces = trace_variants(6.0, 0.8, 1.0, 6, n=12, gamma=0.0, epsilon=0.0, eta=0.0, seed=2)
+    traces = trace_variants(ChainSpec(n_sites=12, seed=2), 6.0, 0.8, 1.0, 6)
     np.testing.assert_array_equal(traces.constant, traces.broadening)
     np.testing.assert_array_equal(traces.constant, traces.static_random)
     np.testing.assert_array_equal(traces.constant, traces.period_noise)
@@ -68,7 +69,10 @@ def test_trace_variants_collapse_without_disorder():
 
 
 def test_trace_variants_disordered_runs_differ():
-    traces = trace_variants(6.0, 0.8, 1.0, 6, n=12, seed=2)  # default amplitudes
+    # The trace kind's default amplitudes.
+    chain = ChainSpec(n_sites=12, static_coupling_disorder=0.5, band_broadening=0.5,
+                      per_period_noise=0.1, seed=2)
+    traces = trace_variants(chain, 6.0, 0.8, 1.0, 6)
     assert not np.array_equal(traces.constant, traces.broadening)
     assert not np.array_equal(traces.constant, traces.static_random)
     assert not np.array_equal(traces.constant, traces.period_noise)
@@ -77,7 +81,7 @@ def test_trace_variants_disordered_runs_differ():
 def test_narrow_pulse_has_no_strength_upper_bound():
     # Near the fast-pulse limit, doubling an already strong drive must
     # not cost fidelity.
-    result = sweep_ratio_psi(0.1, [1.3], [20.0, 40.0], 130, 128)
+    result = sweep_ratio_psi(ChainSpec(n_sites=130), 0.1, 128, [1.3], [20.0, 40.0])
     f20, f40 = result.fidelities[0]
     assert f40 >= f20 - 0.01
     assert f40 >= 0.95
