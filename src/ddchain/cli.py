@@ -23,9 +23,9 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .config import KINDS, ConfigError, RunConfig, config_to_lines, parse_config
+from .config import KINDS, RESULT_PREFIX, ConfigError, RunConfig, config_to_lines, parse_config
 from .errors import DdchainError
-from .model import ChainSpec, PulseSpec
+from .model import ChainSpec, PulseSpec, time_grid
 from .sweeps import (
     SweepResult,
     kernel_study,
@@ -40,31 +40,31 @@ from .sweeps import (
 _FLAG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "kind")
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.16e}"
+def _cells(column: np.ndarray) -> list[str]:
+    """One CSV column as text: integers plain, floats to 17 significant digits."""
+    fmt = str if np.issubdtype(column.dtype, np.integer) else "{:.16e}".format
+    return list(map(fmt, column.tolist()))
 
 
 def sidecar_path(out: str) -> str:
     return out + ".meta"
 
 
-def _write_outputs(cfg: RunConfig, header: list[str], rows, results: dict[str, str],
+def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict[str, str],
                    started: float) -> None:
-    """Write the CSV, then its sidecar, to temporary files beside ``cfg.out``,
-    and move them into place (sidecar first) only once both are written,
-    so a failed run never leaves a CSV without its sidecar."""
+    """Write the CSV of ``columns`` ({header: column}), then its sidecar, to
+    temporary files beside ``cfg.out``, and move them into place (sidecar first)
+    only once both are written, so a failed run never leaves a CSV without its sidecar."""
     csv_temp, meta_temp = cfg.out + ".tmp", sidecar_path(cfg.out) + ".tmp"
     try:
         with open(csv_temp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+            handle.write(",".join(columns) + "\n")
+            for row in zip(*map(_cells, columns.values())):
+                handle.write(",".join(row) + "\n")
         results["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
         lines = ["# ddchain run metadata; feed back via --config to regenerate"]
         lines += config_to_lines(cfg)
-        lines += [f"result.{key}={value}" for key, value in results.items()]
+        lines += [f"{RESULT_PREFIX}{key}={value}" for key, value in results.items()]
         with open(meta_temp, "w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
         os.replace(meta_temp, sidecar_path(cfg.out))
@@ -88,62 +88,59 @@ def run(cfg: RunConfig) -> str:
             np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
             np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
         )
-        header, rows, summary = _sweep_table(sweep, results)
+        columns, summary = _grid_columns(sweep, results)
     elif cfg.kind == "ratio-psi":
         sweep = sweep_ratio_psi(
             chain, cfg.delta, cfg.m,
             np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps),
             np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
         )
-        header, rows, summary = _sweep_table(sweep, results)
+        columns, summary = _grid_columns(sweep, results)
     elif cfg.kind == "size":
         table = sweep_size(chain, cfg.psi, cfg.delta, cfg.tau, cfg.m, cfg.n_values)
-        header = ["n", "fidelity_free", "fidelity_controlled"]
-        rows = zip(table.n_values, table.free, table.controlled)
+        columns = {"n": table.n_values, "fidelity_free": table.free,
+                   "fidelity_controlled": table.controlled}
         summary = f"{len(table.n_values)} sizes"
     elif cfg.kind == "trace":
         traces = trace_variants(chain, cfg.psi, cfg.delta, cfg.tau, cfg.m,
                                 record_every=cfg.record_every)
-        header = ["t", "f_free", "f_const", "f_broadening", "f_static_random", "f_period_noise"]
-        rows = zip(traces.times, traces.free, traces.constant, traces.broadening,
-                   traces.static_random, traces.period_noise)
+        columns = {"t": traces.times, "f_free": traces.free, "f_const": traces.constant,
+                   "f_broadening": traces.broadening, "f_static_random": traces.static_random,
+                   "f_period_noise": traces.period_noise}
         summary = f"{len(traces.times)} times x 5 variants"
     elif cfg.kind == "kernel":
         trace = kernel_study(chain, cfg.dt, cfg.t_max, cfg.threshold, cfg.hold)
-        times = np.arange(len(trace.samples)) * trace.dt
-        header = ["t", "re_g", "im_g"]
-        rows = zip(times, trace.samples.real, trace.samples.imag)
+        columns = {"t": time_grid(trace.dt, cfg.t_max), "re_g": trace.samples.real,
+                   "im_g": trace.samples.imag}
         lifetime = float("nan") if trace.lifetime is None else trace.lifetime
         results["lifetime"] = repr(lifetime)
         summary = f"lifetime={lifetime:g}"
     elif cfg.kind == "pq-check":
         pulse = None if cfg.psi == 0.0 else PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
         comparison = pq_check(chain, pulse, cfg.dt, cfg.m * cfg.tau)
-        header = ["t", "abs_p", "fidelity_direct", "abs_error"]
-        rows = zip(comparison.times, comparison.p_abs, comparison.direct, comparison.abs_error)
+        columns = {"t": comparison.times, "abs_p": comparison.p_abs,
+                   "fidelity_direct": comparison.direct, "abs_error": comparison.abs_error}
         max_err = float(comparison.abs_error.max())
         results["max_abs_error"] = repr(max_err)
         summary = f"max_abs_error={max_err:.3e}"
     else:  # unreachable after validation
         raise ConfigError(f"unknown kind {cfg.kind!r}")
 
-    _write_outputs(cfg, header, rows, results, started)
+    _write_outputs(cfg, columns, results, started)
     return f"{cfg.kind}: wrote {cfg.out} and {sidecar_path(cfg.out)} ({summary})"
 
 
-def _sweep_table(sweep: SweepResult, results: dict[str, str]):
-    """CSV header, rows and summary of a 2-D sweep; records its cell counts."""
-    rows = (
-        (a, b, sweep.fidelities[i, k])
-        for i, a in enumerate(sweep.grid.axis1)
-        for k, b in enumerate(sweep.grid.axis2)
-    )
+def _grid_columns(sweep: SweepResult, results: dict[str, str]):
+    """CSV columns (axis2 varying fastest) and summary of a 2-D sweep; records its cell counts."""
+    grid = sweep.grid
+    columns = {grid.axis1_name: np.repeat(grid.axis1, len(grid.axis2)),
+               grid.axis2_name: np.tile(grid.axis2, len(grid.axis1)),
+               "fidelity": sweep.fidelities.ravel()}
     n_cells = sweep.fidelities.size
     n_bad = int(np.isnan(sweep.fidelities).sum())
     results["cells"] = str(n_cells)
     results["infeasible_cells"] = str(n_bad)
-    header = [sweep.grid.axis1_name, sweep.grid.axis2_name, "fidelity"]
-    return header, rows, f"{n_cells} cells, {n_bad} infeasible"
+    return columns, f"{n_cells} cells, {n_bad} infeasible"
 
 
 def _build_parser() -> argparse.ArgumentParser:

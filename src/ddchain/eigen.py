@@ -17,6 +17,9 @@ import scipy.linalg
 from .errors import NumericalError
 from .model import TridiagonalHamiltonian
 
+# Times per block in spectral_sum: its exponential block is at most _CHUNK x N.
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -48,6 +51,16 @@ def decompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralDecomposition(eigenvalues, vectors)
+
+
+def spectral_sum(energies: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * exp(-i energies[k] t) at each t of ``times``,
+    evaluated over blocks of _CHUNK times."""
+    t = np.asarray(times, dtype=float)
+    out = np.empty(len(t), dtype=complex)
+    for s in range(0, len(t), _CHUNK):
+        out[s : s + _CHUNK] = np.exp(-1j * np.outer(t[s : s + _CHUNK], energies)) @ weights
+    return out
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> None:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import decompose
+from .eigen import decompose, spectral_sum
 from .errors import DdchainError, NumericalError
-from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, control_value
+from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, control_value, time_grid
 
 
 class LifetimeNotFoundError(DdchainError):
@@ -47,14 +47,6 @@ class KernelTrace:
     lifetime: float | None
 
 
-@dataclass(frozen=True)
-class PTrace:
-    """Qubit amplitude from the memory-kernel equation, values[j] = P(j * dt)."""
-
-    dt: float
-    values: np.ndarray
-
-
 def _spectral_weights(env: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     dec = decompose(env)
     weights = dec.eigenvectors[0, :] ** 2
@@ -70,9 +62,7 @@ def kernel_values(
 ) -> np.ndarray:
     """Evaluate g at arbitrary times (negative allowed) from the
     spectral sum over the environment block."""
-    energies, weights = _spectral_weights(env)
-    t = np.asarray(times, dtype=float)
-    return (coupling * coupling) * (np.exp(-1j * np.outer(t, energies)) @ weights)
+    return (coupling * coupling) * spectral_sum(*_spectral_weights(env), times)
 
 
 def correlation_kernel(
@@ -86,10 +76,7 @@ def correlation_kernel(
     """Sample the environment correlation function on 0, dt, ..., ~t_max
     and estimate its decay lifetime (stored as None when the trace is
     too short to certify one)."""
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be > 0")
-    n = int(round(t_max / dt))
-    samples = kernel_values(env, coupling, np.arange(n + 1) * dt)
+    samples = kernel_values(env, coupling, time_grid(dt, t_max))
     samples.flags.writeable = False
     trace = KernelTrace(dt, samples, None)
     try:
@@ -137,8 +124,9 @@ def solve_p_equation(
     t_max: float,
     dt: float,
     drive_offset: float = 0.0,
-) -> PTrace:
-    """Integrate the memory-kernel equation for the qubit amplitude.
+) -> np.ndarray:
+    """Integrate the memory-kernel equation for the qubit amplitude;
+    returns the read-only array p[j] = P(j * dt).
 
     h(t) is ``drive_offset`` plus the rectangular pulse train (or just
     the offset when ``control`` is None), evaluated at step midpoints so
@@ -146,17 +134,16 @@ def solve_p_equation(
     the discontinuity. The kernel trace must cover [0, t_max] at spacing
     dt or an integer refinement of it.
 
-    Scheme: trapezoidal predictor-corrector on the uniform grid. The
-    memory integral is the trapezoid sum over the stored history; the
-    implicit endpoint terms are resolved by one explicit Euler predictor
-    and two corrector passes. Second-order convergence in dt.
+    Scheme: the trapezoid rule on the uniform grid 0, dt, ..., n * dt
+    with n = round(t_max / dt), both for the step and for the memory
+    integral over the stored history. The implicit step is linear in
+    P(t + dt), so it is solved exactly. Second-order convergence in dt.
 
     Raises ValueError when ``t_max`` runs past the end of the pulse
     train, and NumericalError if |P| exceeds 1.05, the step-size instability
     guard (the exact solution has |P| <= 1).
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be > 0")
+    n = len(time_grid(dt, t_max)) - 1
     if control is not None:
         check_within_train(control, t_max)
     stride = int(round(dt / kernel.dt))
@@ -164,7 +151,6 @@ def solve_p_equation(
         raise ValueError(
             f"solver dt={dt} must be an integer multiple of the kernel spacing {kernel.dt}"
         )
-    n = int(round(t_max / dt))
     g = kernel.samples[::stride]
     if len(g) < n + 1:
         raise ValueError(
@@ -188,10 +174,8 @@ def solve_p_equation(
         # implicit p[i+1] endpoint): dt * (g[i+1] p0 / 2 + sum_{j=1..i} g[i+1-j] p[j]).
         hist = np.dot(grev[n - i : n], p[1 : i + 1]) if i >= 1 else 0.0
         mem_part = dt * (0.5 * g[i + 1] * p[0] + hist)
-        p_next = p[i] + dt * deriv_i
-        for _ in range(2):
-            deriv_next = -1j * h_mid * p_next - (mem_part + half * g0 * p_next)
-            p_next = p[i] + half * (deriv_i + deriv_next)
+        # p_next = p[i] + half * (deriv_i + deriv(p_next)) solved for p_next.
+        p_next = (p[i] + half * (deriv_i - mem_part)) / (1 + half * (1j * h_mid + half * g0))
         p[i + 1] = p_next
         mem = mem_part + half * g0 * p_next
         if abs(p_next) > 1.05:
@@ -200,4 +184,4 @@ def solve_p_equation(
                 f"|P|={abs(p_next):.3f}; reduce dt"
             )
     p.flags.writeable = False
-    return PTrace(dt, p)
+    return p

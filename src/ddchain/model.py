@@ -216,6 +216,13 @@ def control_value(pulse: PulseSpec, t: float) -> float:
     return pulse.strength if frac < pulse.width else 0.0
 
 
+def time_grid(dt: float, t_max: float) -> np.ndarray:
+    """The uniform grid 0, dt, ..., n * dt with n = round(t_max / dt)."""
+    if dt <= 0 or t_max <= 0:
+        raise ValueError("dt and t_max must be > 0")
+    return np.arange(int(round(t_max / dt)) + 1) * dt
+
+
 def check_within_train(pulse: PulseSpec, t_max: float) -> None:
     """Raise ValueError when ``t_max`` runs past the end of the pulse train."""
     if t_max > pulse.periods * pulse.period * (1 + 1e-12):

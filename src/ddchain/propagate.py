@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import SpectralDecomposition, decompose
+from .eigen import SpectralDecomposition, decompose, spectral_sum
 from .errors import NumericalError
 from .model import (
     ChainSpec,
@@ -31,6 +31,7 @@ from .model import (
     check_within_train,
     sample_period_noise,
     sample_static_disorder,
+    time_grid,
 )
 
 
@@ -183,11 +184,8 @@ def site_amplitude_trace(
     the train the protocol simply runs on. Per-period noise requires the
     protocol clock, so it is rejected when ``pulse`` is None.
     """
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be > 0")
-    n = int(round(t_max / dt))
-    t_grid = np.arange(n + 1) * dt
-    t_end = n * dt
+    t_grid = time_grid(dt, t_max)
+    t_end = t_grid[-1]
     tol = 1e-9 * dt
     if pulse is None:
         if chain.per_period_noise > 0.0:
@@ -197,7 +195,7 @@ def site_amplitude_trace(
     else:
         check_within_train(pulse, t_max)
 
-    out = np.empty(n + 1, dtype=complex)
+    out = np.empty(len(t_grid), dtype=complex)
     state = initial_state(chain.n_sites)
     out[0] = state[0]
     schedule = _period_decompositions(chain, pulse)
@@ -212,8 +210,7 @@ def site_amplitude_trace(
             if b - a <= tol:
                 continue
             idx = np.nonzero((t_grid > a + tol) & (t_grid <= b + tol))[0]
-            if len(idx):
-                row = dec.eigenvectors[0, :] * (dec.eigenvectors.T @ state)
-                out[idx] = np.exp(-1j * np.outer(t_grid[idx] - a, dec.eigenvalues)) @ row
+            row = dec.eigenvectors[0, :] * (dec.eigenvectors.T @ state)
+            out[idx] = spectral_sum(dec.eigenvalues, row, t_grid[idx] - a)
             state = evolve_interval(state, dec, b - a)
     return out

@@ -23,6 +23,7 @@ from .model import (
     build_free_hamiltonian,
     environment_block,
     sample_static_disorder,
+    time_grid,
 )
 from .propagate import final_fidelities, run_protocol, site_amplitude_trace
 
@@ -114,6 +115,8 @@ def sweep_size(chain: ChainSpec, psi: float, delta: float, tau: float, m: int,
                n_values) -> SizeSweep:
     """Free and controlled final fidelity of ``chain`` resized to each of
     ``n_values``; ``chain.n_sites`` is not used."""
+    if chain.site_energies is not None:
+        raise ValueError("sweep_size cannot resize a chain with site_energies")
     n_values = np.asarray(n_values, dtype=int)
     pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
     pairs = np.array([final_fidelities(replace(chain, n_sites=int(n)), pulses)
@@ -184,6 +187,5 @@ def pq_check(
     h = build_free_hamiltonian(chain, bond_off, site_off)
     kernel = correlation_kernel(environment_block(h), h.off_diagonal[0], dt, t_max)
     p = solve_p_equation(kernel, pulse, t_max, dt, drive_offset=h.diagonal[0])
-    p_abs = np.abs(p.values)
-    times = np.arange(len(p_abs)) * dt
-    return PqComparison(times, p_abs, direct, np.abs(p_abs - direct))
+    p_abs = np.abs(p)
+    return PqComparison(time_grid(dt, t_max), p_abs, direct, np.abs(p_abs - direct))

@@ -86,6 +86,25 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_pq_check_peak_memory_is_bounded(tmp_path):
+    # Whole (time steps x N) exponential blocks would take this run to about
+    # 220 MB; sampling in blocks of fixed size keeps it near 80 MB. The
+    # child's ru_maxrss also counts this process's size at the spawn, which
+    # stays below 100 MB over the whole suite.
+    src = str(Path(ddchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ddchain", "pq-check", "--m", "32",
+         "--out", str(tmp_path / "pq.csv")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert child.returncode == 0
+    assert usage.ru_maxrss / 1024 < 150
+
+
 def test_delta_tau_emits_nan_sentinels(tmp_path):
     out = tmp_path / "dt.csv"
     assert run_cli(

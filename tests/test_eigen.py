@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddchain.eigen import _canonicalize_signs, decompose
+from ddchain.eigen import _CHUNK, _canonicalize_signs, decompose, spectral_sum
 from ddchain.model import TridiagonalHamiltonian
 
 
@@ -132,3 +132,13 @@ def test_decomposition_is_deterministic():
     b = decompose(h)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_spectral_sum_matches_one_dense_product_bitwise():
+    rng = np.random.default_rng(4)
+    energies = np.sort(rng.uniform(-2, 2, 33))
+    weights = rng.uniform(-1, 1, 33) + 1j * rng.uniform(-1, 1, 33)
+    times = np.arange(2 * _CHUNK + 3) * 0.01
+    dense_sum = np.exp(-1j * np.outer(times, energies)) @ weights
+    assert spectral_sum(energies, weights, times).tobytes() == dense_sum.tobytes()
+    assert spectral_sum(energies, weights, np.array([])).shape == (0,)
