@@ -35,9 +35,8 @@ from .model import (
 )
 
 
-# Batches are padded with idle cells to a multiple of this many columns,
-# so every column takes the same GEMM kernel path and a cell's bytes do
-# not depend on its batch-mates or on the BLAS thread count.
+# Blocks are padded with idle cells to a multiple of this many columns, so every
+# cell takes the same GEMM kernel path whatever its batch-mates or BLAS thread count.
 _BLOCK = 8
 
 
@@ -49,38 +48,29 @@ def initial_state(n_sites: int) -> np.ndarray:
 
 
 def fidelity(states: np.ndarray) -> np.ndarray:
-    """Survival fidelity |amplitude at the qubit site| of a normalized
-    one-magnon state, or of each column of an N x K block of states."""
+    """Survival fidelity |qubit amplitude| of a one-magnon state, or of each column of a block."""
     return np.abs(states[0])
 
 
-def _step(block: np.ndarray, decomposition: SpectralDecomposition,
-          durations: np.ndarray) -> np.ndarray:
-    """Evolve column j of the C-contiguous complex N x K ``block`` for
-    ``durations[j]``: S <- V (exp(-i E t) * (V^T S)), both products real
-    GEMMs on the block's float view. Zero-duration columns stay exact."""
-    v = decomposition.eigenvectors
-    busy = durations != 0.0
-    phases = np.ones(block.shape, dtype=complex)
-    np.exp(-1j * np.outer(decomposition.eigenvalues, durations), out=phases, where=busy)
-    coeffs = (v.T @ block.view(float)).view(complex)
-    coeffs *= phases
-    out = (v @ coeffs.view(float)).view(complex)
-    out[:, ~busy] = block[:, ~busy]
-    return out
+def _gemm(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Real ``matrix`` times a complex block: one real GEMM on its float view."""
+    return (matrix @ coeffs.view(float)).view(complex)
 
 
 def evolve_interval(state: np.ndarray, decomposition: SpectralDecomposition,
                     duration: float) -> np.ndarray:
-    """Evolve ``state`` for ``duration`` under the Hamiltonian with the
-    given spectral decomposition: rotate to the eigenbasis, apply the
-    phases exp(-i E duration), rotate back."""
+    """Evolve ``state`` for ``duration`` under the given decomposition:
+    V (exp(-i E duration) * (V^T state)); zero duration returns an exact copy."""
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     if len(state) != decomposition.size:
         raise ValueError(f"state has length {len(state)}, expected {decomposition.size}")
-    column = np.asarray(state, dtype=complex).reshape(-1, 1)
-    return _step(column, decomposition, np.array([float(duration)]))[:, 0]
+    column = np.array(state, dtype=complex).reshape(-1, 1)
+    if duration == 0.0:
+        return column[:, 0]
+    v = decomposition.eigenvectors
+    phases = np.exp(-1j * (decomposition.eigenvalues * float(duration)))[:, None]
+    return _gemm(v, _gemm(v.T, column) * phases)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -94,11 +84,10 @@ class EvolutionRecord:
 def _period_decompositions(chain: ChainSpec, pulse: PulseSpec):
     """Yield the (pulsed, free) decompositions of periods 0, 1, 2, ...
 
-    Static disorder is sampled once from the chain seed. When the chain
-    has per-period noise, fresh bond offsets are drawn each period and
-    both Hamiltonians are re-decomposed for that period; otherwise the
-    one pair is reused. At zero strength the free decomposition serves
-    as the pulsed one.
+    Static disorder is sampled once from the chain seed. With per-period
+    noise both Hamiltonians are re-decomposed each period from fresh bond
+    offsets; otherwise the same pair of objects is yielded every period.
+    At zero strength the free decomposition serves as the pulsed one.
     """
     bond_off, site_off = sample_static_disorder(chain)
     noisy = chain.per_period_noise > 0.0
@@ -106,48 +95,65 @@ def _period_decompositions(chain: ChainSpec, pulse: PulseSpec):
         if noisy or k == 0:
             bonds = bond_off + sample_period_noise(chain, k) if noisy else bond_off
             free = decompose(build_free_hamiltonian(chain, bonds, site_off))
-            pulsed = free
-            if pulse.strength != 0.0:
-                pulsed = decompose(build_controlled_hamiltonian(chain, pulse, bonds, site_off))
+            pulsed = free if pulse.strength == 0.0 else decompose(
+                build_controlled_hamiltonian(chain, pulse, bonds, site_off))
         yield pulsed, free
 
 
-def _batch(chain: ChainSpec, pulses: list[PulseSpec]):
-    """Yield (k, block) after periods k = 0, 1, ..., periods of ``pulses``,
-    which share one strength and period count and so every decomposition.
-    Column j of the N x K block is the state of pulses[j]; idle columns pad
-    K to a multiple of _BLOCK. Raises NumericalError if a column's norm is
-    off 1 by more than 1e-9 after the last period.
+def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int):
+    """Yield (k, fidelities) at k = 0, every ``record_every`` periods and the
+    last period of ``pulses``, which share one strength and period count;
+    idle entries pad the fidelities to a multiple of _BLOCK. Raises
+    NumericalError if a norm is off 1 by more than 1e-9 after the last period.
+
+    Column j of the N x K block holds the state of pulses[j] over the free
+    eigenvectors. A new (pulsed, free) pair gets new phase blocks D_p, D_f and
+    a change of basis through the sites; a repeated pair costs two GEMMs,
+    c <- D_f (W (D_p (W^T c))) with W = V_f^T V_p, or none when pulsed is free.
     """
     pad = [0.0] * (-len(pulses) % _BLOCK)
     widths = np.array([p.width for p in pulses] + pad)
     rests = np.array([p.period - p.width for p in pulses] + pad)
-    block = np.repeat(initial_state(chain.n_sites)[:, None], len(widths), axis=1)
-    yield 0, block
     periods = pulses[0].periods
+    yield 0, np.ones(len(widths))
+    coeffs = np.repeat(initial_state(chain.n_sites)[:, None], len(widths), axis=1)
+    pair, w = (None, None), None
     for k, (pulsed, free) in zip(range(1, periods + 1), _period_decompositions(chain, pulses[0])):
-        block = _step(_step(block, pulsed, widths), free, rests)
-        if k == periods and (drift := np.abs(np.linalg.norm(block, axis=0) - 1).max()) > 1e-9:
+        if pulsed is not pair[0] or free is not pair[1]:
+            d_pulsed = np.exp(-1j * np.outer(pulsed.eigenvalues, widths))
+            d_free = np.exp(-1j * np.outer(free.eigenvalues, rests))
+            sites = coeffs if pair[1] is None else _gemm(pair[1].eigenvectors, coeffs)
+            coeffs = _gemm(pulsed.eigenvectors.T, sites) * d_pulsed
+            if pulsed is not free:
+                coeffs = _gemm(free.eigenvectors.T, _gemm(pulsed.eigenvectors, coeffs))
+            coeffs *= d_free
+            pair, w = (pulsed, free), None
+        elif pulsed is free:
+            coeffs = coeffs * d_pulsed * d_free
+        else:
+            if w is None:  # not BLAS: a threaded N x N GEMM's bits vary with the thread count
+                w = np.einsum("ki,kj->ij", free.eigenvectors, pulsed.eigenvectors)
+            coeffs = _gemm(w.T, coeffs)
+            coeffs *= d_pulsed
+            coeffs = _gemm(w, coeffs)
+            coeffs *= d_free
+        if k == periods and (drift := np.abs(np.linalg.norm(coeffs, axis=0) - 1).max()) > 1e-9:
             raise NumericalError(f"state norm drifted by {drift:.3e} over {periods} periods")
-        yield k, block
+        if k % record_every == 0 or k == periods:
+            yield k, np.abs((free.eigenvectors[0] @ coeffs.view(float)).view(complex))
 
 
 def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> EvolutionRecord:
     """Run the full pulse protocol and record the survival fidelity.
 
-    Starting from the initial state, applies ``pulse.periods``
-    repetitions of [pulsed evolution for width, free evolution for
-    period - width], recording the fidelity at t = 0 and then every
-    ``record_every`` periods (the final period is always recorded).
+    Starting from the initial state, applies ``pulse.periods`` repetitions of
+    [pulsed evolution for width, free evolution for period - width], recording
+    the fidelity at t = 0 and every ``record_every`` periods, and the last one.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    times, fids = [], []
-    for k, block in _batch(chain, [pulse]):
-        if k % record_every == 0 or k == pulse.periods:
-            times.append(k * pulse.period)
-            fids.append(fidelity(block)[0])
-    return EvolutionRecord(np.asarray(times), np.asarray(fids))
+    ks, fids = zip(*_batch(chain, [pulse], record_every))
+    return EvolutionRecord(np.array(ks) * pulse.period, np.array([f[0] for f in fids]))
 
 
 def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec]) -> np.ndarray:
@@ -158,10 +164,9 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec]) -> np.ndarray:
     groups: dict[tuple[float, int], list[int]] = {}
     for i, pulse in enumerate(pulses):
         groups.setdefault((pulse.strength, pulse.periods), []).append(i)
-    for cells in groups.values():
-        for _, block in _batch(chain, [pulses[i] for i in cells]):
-            pass
-        out[cells] = fidelity(block)[: len(cells)]
+    for (_, periods), cells in groups.items():
+        _, fids = list(_batch(chain, [pulses[i] for i in cells], periods))[-1]
+        out[cells] = fids[: len(cells)]
     return out
 
 

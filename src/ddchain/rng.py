@@ -21,8 +21,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _SCALE = float(1 << 53)
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: a bijective 64-bit mixing function."""
+def mix64(x):
+    """splitmix64 finalizer: a bijective 64-bit mixing function (elementwise on uint64 arrays)."""
     x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -66,4 +66,7 @@ class SplitMix64:
         return ((k << 1) + 1 - (1 << 53)) / _SCALE
 
     def uniform_open_vector(self, n: int) -> np.ndarray:
-        return np.array([self.uniform_open() for _ in range(n)], dtype=float)
+        """The next ``n`` draws of ``uniform_open``, as one uint64 array expression."""
+        x = mix64(np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN + self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return (((x >> 11) << 1 | 1).astype(np.int64) - (1 << 53)).astype(float) / _SCALE

@@ -71,19 +71,25 @@ def test_worker_count_does_not_change_csv(tmp_path):
 
 def test_blas_thread_count_does_not_change_csv(tmp_path):
     src = str(Path(ddchain.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-m", "ddchain", "delta-tau", "--delta-steps", "18",
-             "--tau-steps", "18", "--m", "4", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        outputs.append(out.read_bytes())
-    assert outputs[0].count(b"\n") == 18 * 18 + 1
-    assert outputs[0] == outputs[1]
+    runs = [
+        (["delta-tau", "--delta-steps", "18", "--tau-steps", "18", "--m", "4"], 18 * 18),
+        (["ratio-psi", "--ratio-steps", "6", "--psi-steps", "7", "--m", "6"], 6 * 7),
+        # The trace's per-period noise variant takes a new basis every period.
+        (["trace", "--m", "12"], 13),
+    ]
+    for args, rows in runs:
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{args[0]}-threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "ddchain", *args, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == rows + 1, args[0]
+        assert outputs[0] == outputs[1], args[0]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")

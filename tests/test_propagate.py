@@ -287,3 +287,17 @@ def test_batched_matches_oracle_on_random_chains():
         assert np.abs(batched - oracle).max() <= 1e-12
 
     check()
+
+
+def test_free_protocol_matches_semi_infinite_chain_closed_form():
+    # Until the reflection from the far end returns, the qubit amplitude
+    # of a uniform chain with J = 1 is the end-site Green's function of a
+    # semi-infinite chain, J1(2t)/t. At zero strength every period is
+    # phases only, so this checks that path against neither route.
+    from scipy.special import j1
+
+    record = run_protocol(ChainSpec(n_sites=130), PulseSpec(0.0, 1.3, 1.2, 76))
+    t = record.times[1:]
+    assert t[-1] == pytest.approx(98.8)
+    assert record.fidelities[0] == 1.0
+    assert np.abs(record.fidelities[1:] - np.abs(j1(2 * t) / t)).max() <= 1e-12

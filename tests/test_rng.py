@@ -42,3 +42,16 @@ def test_mix64_is_stable():
     assert mix64(0) == 0
     assert mix64(1) == 0x5692161D100B05E5
     assert derive_seed(0, 0) == 0xE220A8397B1DCDAF
+
+
+def test_uniform_open_vector_matches_scalar_draws():
+    # The array expression against the scalar stream it replaced, bit for
+    # bit, and both leave the stream at the same state.
+    for seed in (0, 1, 2024, 0x9E3779B97F4A7C15, 2**64 - 1):
+        for n in (0, 1, 129, 20000):
+            vector, scalar = SplitMix64(seed), SplitMix64(seed)
+            draws = vector.uniform_open_vector(n)
+            expected = np.array([scalar.uniform_open() for _ in range(n)], dtype=float)
+            assert draws.dtype == np.float64 and draws.shape == (n,)
+            assert draws.tobytes() == expected.tobytes(), (seed, n)
+            assert vector.next_u64() == scalar.next_u64(), (seed, n)
