@@ -169,7 +169,6 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.dt > 0, f"dt must be > 0, got {cfg.dt}")
     _require(cfg.t_max > 0, f"t_max must be > 0, got {cfg.t_max}")
     _require(0 < cfg.threshold < 1, f"threshold must be in (0, 1), got {cfg.threshold}")
-    _require(cfg.hold >= cfg.dt, f"hold must be >= dt, got {cfg.hold}")
 
     if cfg.kind in _SINGLE_PULSE_KINDS:
         _require(
@@ -183,6 +182,8 @@ def _validate(cfg: RunConfig) -> None:
             all(b > a for a, b in zip(cfg.n_values, cfg.n_values[1:])),
             "n_values must be strictly increasing",
         )
+    if cfg.kind == "kernel":
+        _require(cfg.hold >= cfg.dt, f"hold must be >= dt, got {cfg.hold}")
     if cfg.kind == "ratio-psi":
         _require(cfg.ratio_min >= 1.0, f"ratio_min must be >= 1, got {cfg.ratio_min}")
     if cfg.kind == "pq-check":

@@ -5,7 +5,8 @@ States are complex amplitude vectors over sites (index 0 is the qubit);
 the initial state puts the single up spin on the qubit. One protocol
 period evolves under the pulsed Hamiltonian for ``width``, then under
 the free Hamiltonian for ``period - width``; each segment is applied
-spectrally as V exp(-i E t) V^T, which is unitary to rounding error.
+spectrally, as phases exp(-i E t) on the state's coefficients over the
+segment's eigenvectors, which is unitary to rounding error.
 The survival fidelity is the modulus of the qubit amplitude: in this
 sector the reduced qubit density matrix has |amplitude|^2 as its
 excited-state population, and the fidelity against the initial state is
@@ -17,7 +18,8 @@ Global phases are never tracked; every observable here is a modulus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,11 +47,6 @@ def initial_state(n_sites: int) -> np.ndarray:
     state = np.zeros(n_sites, dtype=complex)
     state[0] = 1.0
     return state
-
-
-def fidelity(states: np.ndarray) -> np.ndarray:
-    """Survival fidelity |qubit amplitude| of a one-magnon state, or of each column of a block."""
-    return np.abs(states[0])
 
 
 def _gemm(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -100,16 +97,19 @@ def _period_decompositions(chain: ChainSpec, pulse: PulseSpec):
         yield pulsed, free
 
 
-def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int):
+def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segment=None):
     """Yield (k, fidelities) at k = 0, every ``record_every`` periods and the
     last period of ``pulses``, which share one strength and period count;
     idle entries pad the fidelities to a multiple of _BLOCK. Raises
     NumericalError if a norm is off 1 by more than 1e-9 after the last period.
 
-    Column j of the N x K block holds the state of pulses[j] over the free
-    eigenvectors. A new (pulsed, free) pair gets new phase blocks D_p, D_f and
-    a change of basis through the sites; a repeated pair costs two GEMMs,
-    c <- D_f (W (D_p (W^T c))) with W = V_f^T V_p, or none when pulsed is free.
+    Column j of the N x K block holds the state of pulses[j] over the current
+    segment's eigenvectors. Segment 0 (pulsed) then 1 (free) of period p = 0,
+    1, ... enters its eigenbasis, calls ``on_segment(p, segment, decomposition,
+    block)`` if given, and multiplies the block by its phases. Entering costs
+    nothing when the basis is unchanged, one GEMM by W^T or W (W = V_f^T V_p)
+    when a static pair repeats, and a change of basis through the sites for a
+    new pair, which also gets new phase blocks.
     """
     pad = [0.0] * (-len(pulses) % _BLOCK)
     widths = np.array([p.width for p in pulses] + pad)
@@ -117,26 +117,26 @@ def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int):
     periods = pulses[0].periods
     yield 0, np.ones(len(widths))
     coeffs = np.repeat(initial_state(chain.n_sites)[:, None], len(widths), axis=1)
-    pair, w = (None, None), None
+    pair, basis, w = (None, None), None, None
     for k, (pulsed, free) in zip(range(1, periods + 1), _period_decompositions(chain, pulses[0])):
-        if pulsed is not pair[0] or free is not pair[1]:
-            d_pulsed = np.exp(-1j * np.outer(pulsed.eigenvalues, widths))
-            d_free = np.exp(-1j * np.outer(free.eigenvalues, rests))
-            sites = coeffs if pair[1] is None else _gemm(pair[1].eigenvectors, coeffs)
-            coeffs = _gemm(pulsed.eigenvectors.T, sites) * d_pulsed
-            if pulsed is not free:
-                coeffs = _gemm(free.eigenvectors.T, _gemm(pulsed.eigenvectors, coeffs))
-            coeffs *= d_free
+        repeat = pulsed is pair[0] and free is pair[1]
+        if not repeat:
+            phases = (np.exp(-1j * np.outer(pulsed.eigenvalues, widths)),
+                      np.exp(-1j * np.outer(free.eigenvalues, rests)))
             pair, w = (pulsed, free), None
-        elif pulsed is free:
-            coeffs = coeffs * d_pulsed * d_free
-        else:
-            if w is None:  # not BLAS: a threaded N x N GEMM's bits vary with the thread count
-                w = np.einsum("ki,kj->ij", free.eigenvectors, pulsed.eigenvectors)
-            coeffs = _gemm(w.T, coeffs)
-            coeffs *= d_pulsed
-            coeffs = _gemm(w, coeffs)
-            coeffs *= d_free
+        elif w is None and pulsed is not free:
+            # Not BLAS: a threaded N x N GEMM's bits vary with the thread count.
+            w = np.einsum("ki,kj->ij", free.eigenvectors, pulsed.eigenvectors)
+        for segment, dec in enumerate(pair):
+            if dec is not basis and repeat:
+                coeffs = _gemm(w.T if dec is pulsed else w, coeffs)
+            elif dec is not basis:
+                sites = coeffs if basis is None else _gemm(basis.eigenvectors, coeffs)
+                coeffs = _gemm(dec.eigenvectors.T, sites)
+            if on_segment is not None:
+                on_segment(k - 1, segment, dec, coeffs)
+            coeffs *= phases[segment]
+            basis = dec
         if k == periods and (drift := np.abs(np.linalg.norm(coeffs, axis=0) - 1).max()) > 1e-9:
             raise NumericalError(f"state norm drifted by {drift:.3e} over {periods} periods")
         if k % record_every == 0 or k == periods:
@@ -181,13 +181,14 @@ def site_amplitude_trace(
     """Qubit amplitude on the uniform grid 0, dt, ..., ~t_max under the
     protocol (or free evolution when ``pulse`` is None).
 
-    Samples inside pulse/free segments come from the segment's spectral
-    phases directly, so values are exact at every grid time, not only at
-    period boundaries. ``t_max`` must not pass the end of the pulse
-    train, ``periods * period``; when ``dt`` does not divide ``t_max``
-    the grid end rounds to the nearest step, and up to half a step past
-    the train the protocol simply runs on. Per-period noise requires the
-    protocol clock, so it is rejected when ``pulse`` is None.
+    The protocol runs on the batched core with one column, whose norm
+    guard raises NumericalError; each segment's samples come from its
+    spectral phases directly, so values are exact at every grid time, not
+    only at period boundaries. ``t_max`` must not pass the end of the
+    pulse train, ``periods * period``; when ``dt`` does not divide
+    ``t_max`` the grid end rounds to the nearest step, and up to half a
+    step past the train the protocol simply runs on. Per-period noise
+    requires the protocol clock, so it is rejected when ``pulse`` is None.
     """
     t_grid = time_grid(dt, t_max)
     t_end = t_grid[-1]
@@ -200,22 +201,17 @@ def site_amplitude_trace(
     else:
         check_within_train(pulse, t_max)
 
+    periods = max(1, math.ceil((t_end - tol) / pulse.period))
+    periods += periods * pulse.period < t_end - tol  # when the division rounded down
     out = np.empty(len(t_grid), dtype=complex)
-    state = initial_state(chain.n_sites)
-    out[0] = state[0]
-    schedule = _period_decompositions(chain, pulse)
-    for k in itertools.count():
-        start = k * pulse.period
-        if start >= t_end - tol:
-            break
-        pulsed, free = next(schedule)
-        on_end = min(start + pulse.width, t_end)
-        for a, b, dec in ((start, on_end, pulsed),
-                          (on_end, min((k + 1) * pulse.period, t_end), free)):
-            if b - a <= tol:
-                continue
-            idx = np.nonzero((t_grid > a + tol) & (t_grid <= b + tol))[0]
-            row = dec.eigenvectors[0, :] * (dec.eigenvectors.T @ state)
-            out[idx] = spectral_sum(dec.eigenvalues, row, t_grid[idx] - a)
-            state = evolve_interval(state, dec, b - a)
+    out[0] = 1.0
+
+    def sample(k, segment, dec, coeffs):
+        start, mid = k * pulse.period, k * pulse.period + pulse.width
+        a, b = (start, mid) if segment == 0 else (mid, (k + 1) * pulse.period)
+        lo, hi = np.searchsorted(t_grid, [a + tol, b + tol], side="right")
+        out[lo:hi] = spectral_sum(dec.eigenvalues, dec.eigenvectors[0] * coeffs[:, 0],
+                                  t_grid[lo:hi] - a)
+
+    list(_batch(chain, [replace(pulse, periods=periods)], periods, sample))
     return out

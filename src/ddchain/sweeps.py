@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import KernelTrace, correlation_kernel, solve_p_equation
+from .kernel import KernelTrace, correlation_kernel, kernel_values, solve_p_equation
 from .model import (
     ChainSpec,
     PulseSpec,
@@ -185,7 +185,9 @@ def pq_check(
     direct = np.abs(site_amplitude_trace(chain, pulse, dt, t_max))
     bond_off, site_off = sample_static_disorder(chain)
     h = build_free_hamiltonian(chain, bond_off, site_off)
-    kernel = correlation_kernel(environment_block(h), h.off_diagonal[0], dt, t_max)
+    times = time_grid(dt, t_max)
+    # The solver reads only the samples, so no lifetime is estimated.
+    kernel = KernelTrace(dt, kernel_values(environment_block(h), h.off_diagonal[0], times), None)
     p = solve_p_equation(kernel, pulse, t_max, dt, drive_offset=h.diagonal[0])
     p_abs = np.abs(p)
-    return PqComparison(time_grid(dt, t_max), p_abs, direct, np.abs(p_abs - direct))
+    return PqComparison(times, p_abs, direct, np.abs(p_abs - direct))

@@ -167,6 +167,16 @@ def test_pq_check_runs_when_dt_does_not_divide_the_train(tmp_path):
     assert float(rows[-1][0]) == pytest.approx(2.601)
 
 
+def test_pq_check_runs_with_dt_above_hold(tmp_path):
+    out = tmp_path / "pq.csv"
+    args = ("pq-check", "--n", "10", "--psi", "2.0", "--tau", "1.2", "--delta", "0.6",
+            "--m", "2", "--dt", "0.6", "--out", str(out))
+    assert run_cli(*args) == 0
+    _, rows = read_rows(out)
+    assert [float(row[0]) for row in rows] == pytest.approx([0.0, 0.6, 1.2, 1.8, 2.4])
+    assert max(float(row[3]) for row in rows) <= 0.1
+
+
 def test_failed_sidecar_write_leaves_no_csv(tmp_path, capsys):
     out = tmp_path / "k.csv"
     (tmp_path / "k.csv.meta").mkdir()

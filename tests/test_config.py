@@ -176,6 +176,13 @@ def test_pq_check_rejects_period_noise():
         parse_config(kind="pq-check", overrides={"eta": "0.1"})
 
 
+def test_hold_below_dt_is_rejected_only_for_kernel():
+    # Only the kernel study estimates a lifetime over a hold window.
+    with pytest.raises(ConfigError, match="hold"):
+        parse_config(kind="kernel", overrides={"dt": "0.6"})
+    assert parse_config(kind="pq-check", overrides={"dt": "0.6"}).hold == 0.5
+
+
 def test_malformed_line_reports_location(tmp_path):
     path = write(tmp_path, "kind=size\nnot a pair\n")
     with pytest.raises(ConfigError, match=":2"):

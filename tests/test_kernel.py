@@ -12,7 +12,14 @@ from ddchain.kernel import (
     kernel_values,
     solve_p_equation,
 )
-from ddchain.model import ChainSpec, PulseSpec, TridiagonalHamiltonian
+from ddchain.model import (
+    ChainSpec,
+    PulseSpec,
+    TridiagonalHamiltonian,
+    build_free_hamiltonian,
+    environment_block,
+    time_grid,
+)
 from ddchain.propagate import run_protocol, site_amplitude_trace
 from ddchain.sweeps import kernel_study, pq_check
 
@@ -149,6 +156,27 @@ def test_p_equation_instability_guard():
     trace = KernelTrace(0.1, np.full(101, -4.0, dtype=complex), None)
     with pytest.raises(NumericalError):
         solve_p_equation(trace, None, 10.0, 0.1)
+
+
+def test_pq_check_runs_with_dt_above_default_hold():
+    # No lifetime is estimated on the way, so hold = 0.5 < dt is no error.
+    comparison = pq_check(ChainSpec(n_sites=10), PulseSpec(2.0, 1.2, 0.6, 2), 0.6, 2.4)
+    assert np.allclose(comparison.times, [0.0, 0.6, 1.2, 1.8, 2.4])
+    assert comparison.abs_error.max() <= 0.1
+
+
+@pytest.mark.parametrize("j, t_max", [(1.0, 100.0), (2.0, 50.0)])
+def test_kernel_matches_semi_infinite_chain_closed_form(j, t_max):
+    # Until the reflection from the far end returns, the 129-site
+    # environment of a uniform chain has the semi-infinite kernel
+    # g(t) = J^2 J1(2 J t) / (J t), a check that bypasses eigen's sums.
+    from scipy.special import j1
+
+    env = environment_block(build_free_hamiltonian(ChainSpec(n_sites=130, coupling=j)))
+    t = time_grid(0.01, t_max)
+    g = kernel_values(env, j, t)
+    assert g[0] == pytest.approx(j * j, abs=1e-12)
+    assert np.abs(g[1:] - j * j * j1(2 * j * t[1:]) / (j * t[1:])).max() <= 1e-12
 
 
 def test_pq_check_handles_site_energy_offset():
