@@ -76,6 +76,8 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
         (["ratio-psi", "--ratio-steps", "6", "--psi-steps", "7", "--m", "6"], 6 * 7),
         # The trace's per-period noise variant takes a new basis every period.
         (["trace", "--m", "12"], 13),
+        # The Volterra history sums must not go through threaded BLAS.
+        (["pq-check", "--m", "12"], 15601),
     ]
     for args, rows in runs:
         outputs = []

@@ -5,6 +5,7 @@ import pytest
 
 from ddchain.errors import NumericalError
 from ddchain.kernel import (
+    _LEAF,
     KernelTrace,
     LifetimeNotFoundError,
     correlation_kernel,
@@ -17,6 +18,8 @@ from ddchain.model import (
     PulseSpec,
     TridiagonalHamiltonian,
     build_free_hamiltonian,
+    check_within_train,
+    control_value,
     environment_block,
     time_grid,
 )
@@ -26,6 +29,42 @@ from ddchain.sweeps import kernel_study, pq_check
 
 def free_env(n, j=1.0):
     return TridiagonalHamiltonian(np.zeros(n), np.full(n - 1, j))
+
+
+def oracle_solve_p_equation(kernel, control, t_max, dt, drive_offset=0.0):
+    """The O(n^2) stepper: one history dot per step, scalar drive calls."""
+    n = len(time_grid(dt, t_max)) - 1
+    if control is not None:
+        check_within_train(control, t_max)
+    stride = int(round(dt / kernel.dt))
+    if stride < 1 or abs(stride * kernel.dt - dt) > 1e-9 * dt:
+        raise ValueError(f"solver dt={dt} must be an integer multiple of {kernel.dt}")
+    g = kernel.samples[::stride]
+    if len(g) < n + 1:
+        raise ValueError("kernel trace too short")
+    g = g[: n + 1]
+    grev = g[::-1].copy()
+    p = np.empty(n + 1, dtype=complex)
+    p[0] = 1.0
+    half = 0.5 * dt
+    g0 = g[0]
+    mem = 0.0 + 0.0j
+    for i in range(n):
+        h_mid = drive_offset
+        if control is not None:
+            h_mid += control_value(control, (i + 0.5) * dt)
+        deriv_i = -1j * h_mid * p[i] - mem
+        hist = np.dot(grev[n - i : n], p[1 : i + 1]) if i >= 1 else 0.0
+        mem_part = dt * (0.5 * g[i + 1] * p[0] + hist)
+        p_next = (p[i] + half * (deriv_i - mem_part)) / (1 + half * (1j * h_mid + half * g0))
+        p[i + 1] = p_next
+        mem = mem_part + half * g0 * p_next
+        if abs(p_next) > 1.05:
+            raise NumericalError(
+                f"memory-kernel stepper unstable at t={(i + 1) * dt:g}: "
+                f"|P|={abs(p_next):.3f}; reduce dt"
+            )
+    return p
 
 
 def test_two_site_environment_is_cosine():
@@ -158,6 +197,78 @@ def test_p_equation_instability_guard():
         solve_p_equation(trace, None, 10.0, 0.1)
 
 
+def test_p_equation_instability_guard_fails_at_the_oracle_step():
+    # A small negative kernel makes |P| grow like cosh; it crosses 1.05
+    # at step 82, past the first block, so the FFT history feeds it.
+    trace = KernelTrace(0.1, np.full(201, -1.5e-3, dtype=complex), None)
+    with pytest.raises(NumericalError) as expected:
+        oracle_solve_p_equation(trace, None, 20.0, 0.1, drive_offset=0.01)
+    with pytest.raises(NumericalError) as got:
+        solve_p_equation(trace, None, 20.0, 0.1, drive_offset=0.01)
+    step = str(expected.value).split(":")[0]
+    assert step == "memory-kernel stepper unstable at t=8.2"
+    assert str(got.value).split(":")[0] == step
+
+
+def _small_env_kernel(dt, t_max):
+    env = TridiagonalHamiltonian(np.linspace(-0.4, 0.5, 9), np.full(8, 1.1))
+    return KernelTrace(dt, kernel_values(env, 0.9, time_grid(dt, t_max)), None)
+
+
+@pytest.mark.parametrize("control, drive_offset, refine", [
+    (None, 0.7, 1),
+    (PulseSpec(8.0, 1.3, 1.2, 4), 0.0, 1),
+    (PulseSpec(0.0, 1.3, 1.2, 4), 0.2, 1),   # psi = 0
+    (PulseSpec(6.0, 1.3, 0.0, 4), 0.0, 1),   # delta = 0
+    (PulseSpec(6.0, 1.3, 1.3, 4), -0.3, 1),  # delta = tau
+    (PulseSpec(8.0, 1.3, 0.6, 4), 0.0, 4),   # kernel grid 4x finer than dt
+])
+def test_p_equation_matches_oracle_drives(control, drive_offset, refine):
+    dt, t_max = 1e-3, 5.2
+    kernel = _small_env_kernel(dt / refine, t_max)
+    p = solve_p_equation(kernel, control, t_max, dt, drive_offset)
+    oracle = oracle_solve_p_equation(kernel, control, t_max, dt, drive_offset)
+    assert np.abs(p - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5, 5000])
+def test_p_equation_matches_oracle_at_block_edges(n):
+    dt = 1e-3
+    kernel = _small_env_kernel(dt, n * dt)
+    pulse = PulseSpec(5.0, 0.25, 0.1, n)
+    p = solve_p_equation(kernel, pulse, n * dt, dt, drive_offset=0.1)
+    assert len(p) == n + 1
+    assert np.abs(p - oracle_solve_p_equation(kernel, pulse, n * dt, dt, 0.1)).max() <= 1e-12
+
+
+def test_p_equation_matches_oracle_on_random_kernels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(1, 700),
+        dt=st.floats(1e-3, 0.05),
+        scale=st.floats(0.0, 2.0),
+        offset=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, dt, scale, offset, seed):
+        rng = np.random.default_rng(seed)
+        g = scale * (rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1))
+        kernel = KernelTrace(dt, g, None)
+        try:
+            oracle = oracle_solve_p_equation(kernel, None, n * dt, dt, offset)
+        except NumericalError as err:
+            with pytest.raises(NumericalError) as got:
+                solve_p_equation(kernel, None, n * dt, dt, offset)
+            assert str(got.value).split(":")[0] == str(err).split(":")[0]
+            return
+        assert np.abs(solve_p_equation(kernel, None, n * dt, dt, offset) - oracle).max() <= 1e-12
+
+    check()
+
+
 def test_pq_check_runs_with_dt_above_default_hold():
     # No lifetime is estimated on the way, so hold = 0.5 < dt is no error.
     comparison = pq_check(ChainSpec(n_sites=10), PulseSpec(2.0, 1.2, 0.6, 2), 0.6, 2.4)
@@ -177,6 +288,53 @@ def test_kernel_matches_semi_infinite_chain_closed_form(j, t_max):
     g = kernel_values(env, j, t)
     assert g[0] == pytest.approx(j * j, abs=1e-12)
     assert np.abs(g[1:] - j * j * j1(2 * j * t[1:]) / (j * t[1:])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("j, expected", [(1.0, 1.87), (2.0, 0.94)])
+def test_lifetime_from_semi_infinite_chain_closed_form(j, expected):
+    # The closed-form kernel J^2 J1(2 J t) / (J t) gives the decay time
+    # without eigen's sums; the 130-site chain must agree with it.
+    from scipy.special import j1
+
+    t = time_grid(0.01, 5.0)
+    g = np.full(len(t), j * j, dtype=complex)
+    g[1:] = j * j * j1(2 * j * t[1:]) / (j * t[1:])
+    lifetime = estimate_lifetime(KernelTrace(0.01, g, None))
+    assert lifetime == pytest.approx(expected, abs=1e-9)
+    if j == 1.0:
+        assert abs(lifetime - 1.7) <= 0.2  # the acceptance window
+    assert lifetime == kernel_study(ChainSpec(n_sites=130, coupling=j), 0.01, 5.0).lifetime
+
+
+def test_pq_check_second_order_on_random_static_chains():
+    # Pulse edges sit on grid points, so the only error is the trapezoid
+    # rule's: halving dt cuts it about fourfold. The worst error seen at
+    # dt = 0.01 over 1000 drawn chains was 2.5e-3 (at |psi| = 10).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    dt = 0.01
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        energies=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=12),
+        gamma=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**64 - 1),
+        psi=st.floats(-10.0, 10.0),
+        tau_steps=st.integers(20, 130),
+        frac=st.floats(0.0, 1.0),
+        periods=st.integers(1, 4),
+    )
+    def check(energies, gamma, seed, psi, tau_steps, frac, periods):
+        chain = ChainSpec(len(energies), site_energies=tuple(energies),
+                          static_coupling_disorder=gamma, seed=seed)
+        pulse = PulseSpec(psi, tau_steps * dt, round(frac * tau_steps) * dt, periods)
+        t_max = periods * pulse.period
+        coarse = pq_check(chain, pulse, dt, t_max).abs_error.max()
+        fine = pq_check(chain, pulse, dt / 2, t_max).abs_error.max()
+        assert coarse <= 5e-3
+        assert fine * 3 <= coarse
+
+    check()
 
 
 def test_pq_check_handles_site_energy_offset():
