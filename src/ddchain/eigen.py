@@ -1,10 +1,13 @@
 """Spectral decomposition of real symmetric tridiagonal Hamiltonians.
 
-Backed by LAPACK through ``scipy.linalg.eigh_tridiagonal``; the wrapper
-adds a deterministic eigenvector sign convention and maps solver
+Backed by LAPACK's divide-and-conquer solver ``dstevd``, called directly
+through ``scipy.linalg.lapack`` so the driver (and so the bytes) does not
+follow scipy's choice for ``eigh_tridiagonal``; the wrapper maps solver
 failures onto the package error type. Eigenvalues come back ascending
 with a full orthonormal eigenvector matrix, which is what the spectral
-propagator needs.
+propagator needs. Eigenvector signs are whatever LAPACK returns: every
+use (V f(E) V^T, V_f^T V_p, squared rows, moduli) is exactly invariant
+under flipping a column, so no sign convention is imposed.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NumericalError
 from .model import TridiagonalHamiltonian
@@ -35,19 +38,20 @@ class SpectralDecomposition:
 
 
 def decompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
-    """Full spectral decomposition of ``h``.
+    """Full spectral decomposition of ``h`` by LAPACK ``dstevd``.
 
-    Deterministic for identical input: each eigenvector is flipped so
-    that its first non-negligible component is positive.
+    Deterministic for identical input at a given BLAS thread count. For
+    a few hundred sites and more, dstevd's threaded merge products make
+    the eigenvector bits depend on that count as well.
 
-    Raises NumericalError if the underlying eigensolver fails to
-    converge.
+    Raises NumericalError if the eigensolver fails to converge.
     """
-    try:
-        eigenvalues, vectors = scipy.linalg.eigh_tridiagonal(h.diagonal, h.off_diagonal)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"tridiagonal eigensolver failed for size {h.size}: {exc}") from exc
-    _canonicalize_signs(vectors)
+    if h.size == 1:  # the wrapper rejects an empty off-diagonal
+        eigenvalues, vectors = h.diagonal.copy(), np.ones((1, 1))
+    else:
+        eigenvalues, vectors, info = scipy.linalg.lapack.dstevd(h.diagonal, h.off_diagonal)
+        if info != 0:
+            raise NumericalError(f"tridiagonal eigensolver failed for size {h.size}: info={info}")
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralDecomposition(eigenvalues, vectors)
@@ -62,11 +66,3 @@ def spectral_sum(energies: np.ndarray, weights: np.ndarray, times: np.ndarray) -
         out[s : s + _CHUNK] = np.exp(-1j * np.outer(t[s : s + _CHUNK], energies)) @ weights
     return out
 
-
-def _canonicalize_signs(vectors: np.ndarray) -> None:
-    # First component of each column whose magnitude is non-negligible
-    # (relative to the column max) decides the sign.
-    absv = np.abs(vectors)
-    lead = np.argmax(absv > 1e-12 * absv.max(axis=0), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] = -vectors[:, flip]

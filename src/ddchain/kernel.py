@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .eigen import decompose, spectral_sum
 from .errors import DdchainError, NumericalError
@@ -142,13 +143,16 @@ def solve_p_equation(
     with n = round(t_max / dt), both for the step and for the memory
     integral over the stored history. The implicit step is linear in
     P(t + dt), so it is solved exactly. Second-order convergence in dt.
-    The history sums are built by divide-and-conquer convolution (Hairer,
-    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): the steps
-    run in blocks of _LEAF = 64, each summing its own history terms
-    directly, and when a block of w steps completes, the next w steps
-    receive its contribution through one FFT convolution against g. That
-    is O(n log^2 n) work instead of O(n^2), with no BLAS call, so the
-    result does not depend on the BLAS thread count.
+    The steps run in blocks of _LEAF = 64. A block's steps are linear in
+    its own amplitudes, so the block is one lower-triangular system,
+    solved by LAPACK's ztrtrs: forward substitution of the same rows,
+    one step per row. The history from earlier blocks is built by
+    divide-and-conquer convolution (Hairer, Lubich & Schlichte, SIAM J.
+    Sci. Stat. Comput. 6, 1985): when a block of w steps completes, the
+    next w steps receive its contribution through one FFT convolution
+    against g. That is O(n log^2 n) work instead of O(n^2). The only
+    BLAS work is the 64 x 64 triangular solve, which gives the same bits
+    at 1 and 2 OpenBLAS threads, so neither does the result.
 
     Raises ValueError when ``t_max`` runs past the end of the pulse
     train, and NumericalError if |P| exceeds 1.05, the step-size instability
@@ -170,11 +174,9 @@ def solve_p_equation(
         )
     g = g[: n + 1]
     grev = g[::-1].copy()
-    g_half = (0.5 * g).tolist()
     drive = np.full(n, drive_offset, dtype=float)
     if control is not None:
         drive += control_value(control, (np.arange(n) + 0.5) * dt)
-    drive = drive.tolist()  # h at the step midpoints (i + 0.5) * dt
 
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
@@ -183,28 +185,56 @@ def solve_p_equation(
     g_hat = {}  # FFT of g[:size], one per convolution size
     half = 0.5 * dt
     g0 = complex(g[0])
-    mem = 0.0 + 0.0j  # trapezoid memory integral at the current step
-    p_k = 1.0 + 0.0j
+    # drive holds h at the step midpoints (i + 0.5) * dt; step i + 1's row
+    # has 1 + c[i] on its diagonal.
+    c_drive = half * (1j * drive + half * g0)
+    # The lag >= 2 terms of a block's rows: half * dt * (g[lag] + g[lag - 1]).
+    leaf = min(_LEAF, n)
+    lag = np.subtract.outer(np.arange(leaf), np.arange(leaf))
+    toeplitz = np.zeros((leaf, leaf), dtype=complex, order="F")
+    below = lag >= 2
+    toeplitz[below] = half * dt * (g[lag[below]] + g[lag[below] - 1])
+    rows = np.arange(leaf)
+    mem = 0.0 + 0.0j  # trapezoid memory integral at the last completed step
     for start in range(1, n + 1, _LEAF):
         end = min(start + _LEAF, n + 1)
-        for k, hist_k in zip(range(start, end), hist[start:end].tolist()):
-            h_mid = drive[k - 1]
-            deriv = -1j * h_mid * p_k - mem
-            # History part of the next memory integral (all terms except the
-            # implicit p[k] endpoint): dt * (g[k] p0 / 2 + sum_{j=1..k-1} g[k-j] p[j]),
-            # this block's own terms summed here, without BLAS.
-            if k > start:
-                hist_k += np.add.reduce(grev[n - k + start : n] * p[start:k])
-            mem_part = dt * (g_half[k] + hist_k)
-            # p_k = p[k-1] + half * (deriv + deriv(p_k)) solved for p_k.
-            p_k = (p_k + half * (deriv - mem_part)) / (1 + half * (1j * h_mid + half * g0))
-            p[k] = p_k
-            mem = mem_part + half * g0 * p_k
-            if abs(p_k) > 1.05:
-                raise NumericalError(
-                    f"memory-kernel stepper unstable at t={k * dt:g}: "
-                    f"|P|={abs(p_k):.3f}; reduce dt"
-                )
+        steps = end - start
+        c = c_drive[start - 1 : end - 1]
+        # dt * (g[k] p0 / 2 + hist[k]): the part of step k's memory integral
+        # that does not involve this block's own amplitudes.
+        mem_part = dt * (0.5 * g[start:end] + hist[start:end])
+        # Step k is p[k] = p[k-1] + half * (deriv(k-1) + deriv(k)) with
+        # deriv(k) = -i h p[k] - mem(k). Writing mem(k-1) and mem(k) out over
+        # the block's amplitudes makes the block's steps one lower-triangular
+        # system in p[start:end]; only its first row reads the carried mem.
+        a = toeplitz[:steps, :steps].copy(order="F")
+        a[rows[:steps], rows[:steps]] = 1 + c
+        a[rows[1:steps], rows[: steps - 1]] = c[1:] - 1 + half * dt * g[1]
+        rhs = np.empty((steps, 1), dtype=complex)
+        p_prev = p[start - 1]
+        rhs[0, 0] = p_prev + half * (-1j * drive[start - 1] * p_prev - mem - mem_part[0])
+        rhs[1:, 0] = -half * (mem_part[1:] + mem_part[:-1])
+        x, info = scipy.linalg.lapack.ztrtrs(a, rhs, lower=1)
+        if info != 0:
+            raise NumericalError(f"memory-kernel step singular at t={(start + info - 1) * dt:g}")
+        block = x[:, 0]
+        p[start:end] = block
+        # An unstable block may overflow; the first offending step is reported.
+        with np.errstate(over="ignore", invalid="ignore"):
+            magnitude = np.abs(block)
+            unstable = magnitude > 1.05
+        if unstable.any():
+            k = int(np.argmax(unstable))
+            raise NumericalError(
+                f"memory-kernel stepper unstable at t={(start + k) * dt:g}: "
+                f"|P|={magnitude[k]:.3f}; reduce dt"
+            )
+        last = end - 1
+        mem = (
+            mem_part[-1]
+            + dt * np.add.reduce(grev[n - last + start : n] * p[start:last])
+            + half * g0 * p[last]
+        )
         if end > n:
             break
         # The block of `width` steps completed here is the first half of a

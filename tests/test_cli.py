@@ -74,9 +74,12 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
     runs = [
         (["delta-tau", "--delta-steps", "18", "--tau-steps", "18", "--m", "4"], 18 * 18),
         (["ratio-psi", "--ratio-steps", "6", "--psi-steps", "7", "--m", "6"], 6 * 7),
+        # A noisy batched sweep changes basis through the sites every period.
+        (["delta-tau", "--n", "16", "--m", "6", "--eta", "0.1",
+          "--delta-steps", "4", "--tau-steps", "4"], 4 * 4),
         # The trace's per-period noise variant takes a new basis every period.
         (["trace", "--m", "12"], 13),
-        # The Volterra history sums must not go through threaded BLAS.
+        # The Volterra history sums and block solves must not go through threaded BLAS.
         (["pq-check", "--m", "12"], 15601),
     ]
     for args, rows in runs:
