@@ -141,18 +141,14 @@ def solve_p_equation(
 
     Scheme: the trapezoid rule on the uniform grid 0, dt, ..., n * dt
     with n = round(t_max / dt), both for the step and for the memory
-    integral over the stored history. The implicit step is linear in
-    P(t + dt), so it is solved exactly. Second-order convergence in dt.
-    The steps run in blocks of _LEAF = 64. A block's steps are linear in
-    its own amplitudes, so the block is one lower-triangular system,
-    solved by LAPACK's ztrtrs: forward substitution of the same rows,
-    one step per row. The history from earlier blocks is built by
-    divide-and-conquer convolution (Hairer, Lubich & Schlichte, SIAM J.
-    Sci. Stat. Comput. 6, 1985): when a block of w steps completes, the
-    next w steps receive its contribution through one FFT convolution
-    against g. That is O(n log^2 n) work instead of O(n^2). The only
-    BLAS work is the 64 x 64 triangular solve, which gives the same bits
-    at 1 and 2 OpenBLAS threads, so neither does the result.
+    integral. Second-order convergence in dt. The implicit steps are
+    linear in the amplitudes, so all n of them form one lower-triangular
+    Toeplitz-plus-bidiagonal system, solved exactly in blocks of _LEAF =
+    64 rows by LAPACK's ztrtrs. Each completed span of w rows passes its
+    terms to the next w rows' right side through one FFT convolution
+    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
+    O(n log^2 n) work instead of O(n^2). The result has the same bits at
+    1 and 2 OpenBLAS threads.
 
     Raises ValueError when ``t_max`` runs past the end of the pulse
     train, and NumericalError if |P| exceeds 1.05, the step-size instability
@@ -173,48 +169,41 @@ def solve_p_equation(
             f"need {t_max:g}"
         )
     g = g[: n + 1]
-    grev = g[::-1].copy()
-    drive = np.full(n, drive_offset, dtype=float)
+    half = 0.5 * dt
+    # Row k (step k, k = 1..n) reads p[k - l] with weight q[l] for lags l >= 2;
+    # q[0] = q[1] = 0 leaves lags 0 and 1 to the diagonal and sub-diagonal.
+    q = np.zeros(n + 1, dtype=complex)
+    np.add(g[2:], g[1:-1], out=q[2:])
+    q *= half * dt
+    # p[0] = 1 is a trapezoid end point: half weight. Row 1's constant is
+    # what is left once its sub-diagonal term (below) is taken out, as
+    # M(0) = 0 and p[0] has half weight in M(1); sliced, since n may be 0.
+    rhs = -0.5 * q
+    rhs[1:2] = half * half * (g[0] + g[1:2])
+    # Row k has 1 + c[k - 1] on its diagonal and c[k - 1] - 1 + half * dt * g[1]
+    # on its sub-diagonal, c = half * (i h + half * g[0]) with h at the step
+    # midpoint (k - 0.5) * dt.
+    c = np.full(n, drive_offset, dtype=complex)
     if control is not None:
-        drive += control_value(control, (np.arange(n) + 0.5) * dt)
-
+        c += control_value(control, (np.arange(n) + 0.5) * dt)
+    c *= 1j * half
+    c += half * half * g[0]
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
-    # hist[k] collects sum_{j=1..k-1} g[k-j] p[j] from the completed blocks.
-    hist = np.zeros(n + 1, dtype=complex)
-    g_hat = {}  # FFT of g[:size], one per convolution size
-    half = 0.5 * dt
-    g0 = complex(g[0])
-    # drive holds h at the step midpoints (i + 0.5) * dt; step i + 1's row
-    # has 1 + c[i] on its diagonal.
-    c_drive = half * (1j * drive + half * g0)
-    # The lag >= 2 terms of a block's rows: half * dt * (g[lag] + g[lag - 1]).
-    leaf = min(_LEAF, n)
-    lag = np.subtract.outer(np.arange(leaf), np.arange(leaf))
-    toeplitz = np.zeros((leaf, leaf), dtype=complex, order="F")
-    below = lag >= 2
-    toeplitz[below] = half * dt * (g[lag[below]] + g[lag[below] - 1])
-    rows = np.arange(leaf)
-    mem = 0.0 + 0.0j  # trapezoid memory integral at the last completed step
+    rows = np.arange(min(_LEAF, n))
+    toeplitz = np.tril(q[np.subtract.outer(rows, rows)])
     for start in range(1, n + 1, _LEAF):
         end = min(start + _LEAF, n + 1)
         steps = end - start
-        c = c_drive[start - 1 : end - 1]
-        # dt * (g[k] p0 / 2 + hist[k]): the part of step k's memory integral
-        # that does not involve this block's own amplitudes.
-        mem_part = dt * (0.5 * g[start:end] + hist[start:end])
-        # Step k is p[k] = p[k-1] + half * (deriv(k-1) + deriv(k)) with
-        # deriv(k) = -i h p[k] - mem(k). Writing mem(k-1) and mem(k) out over
-        # the block's amplitudes makes the block's steps one lower-triangular
-        # system in p[start:end]; only its first row reads the carried mem.
+        block_c = c[start - 1 : end - 1]
+        sub = block_c - 1 + half * dt * g[1]
         a = toeplitz[:steps, :steps].copy(order="F")
-        a[rows[:steps], rows[:steps]] = 1 + c
-        a[rows[1:steps], rows[: steps - 1]] = c[1:] - 1 + half * dt * g[1]
-        rhs = np.empty((steps, 1), dtype=complex)
-        p_prev = p[start - 1]
-        rhs[0, 0] = p_prev + half * (-1j * drive[start - 1] * p_prev - mem - mem_part[0])
-        rhs[1:, 0] = -half * (mem_part[1:] + mem_part[:-1])
-        x, info = scipy.linalg.lapack.ztrtrs(a, rhs, lower=1)
+        a[rows[:steps], rows[:steps]] = 1 + block_c
+        a[rows[1:steps], rows[: steps - 1]] = sub[1:]
+        # The block's only term that neither its Toeplitz part nor the FFT
+        # spans carry: its first row's sub-diagonal entry times p[start - 1].
+        rhs[start] -= sub[0] * p[start - 1]
+        x, info = scipy.linalg.lapack.ztrtrs(a, rhs[start:end, None], lower=1)
         if info != 0:
             raise NumericalError(f"memory-kernel step singular at t={(start + info - 1) * dt:g}")
         block = x[:, 0]
@@ -229,23 +218,15 @@ def solve_p_equation(
                 f"memory-kernel stepper unstable at t={(start + k) * dt:g}: "
                 f"|P|={magnitude[k]:.3f}; reduce dt"
             )
-        last = end - 1
-        mem = (
-            mem_part[-1]
-            + dt * np.add.reduce(grev[n - last + start : n] * p[start:last])
-            + half * g0 * p[last]
-        )
         if end > n:
             break
-        # The block of `width` steps completed here is the first half of a
-        # span of 2 * width; its terms enter the second half's history at once.
+        # The span of `width` rows completed here is the first half of a
+        # span of 2 * width; its terms leave the second half's right side at once.
         blocks = (end - 1) // _LEAF
         width = (blocks & -blocks) * _LEAF
         size = 2 * width
-        if size not in g_hat:
-            g_hat[size] = np.fft.fft(g[:size], size)
-        conv = np.fft.ifft(np.fft.fft(p[end - width : end], size) * g_hat[size])
+        conv = np.fft.ifft(np.fft.fft(p[end - width : end], size) * np.fft.fft(q[:size], size))
         top = min(end + width, n + 1)
-        hist[end:top] += conv[width : width + top - end]
+        rhs[end:top] -= conv[width : width + top - end]
     p.flags.writeable = False
     return p

@@ -172,6 +172,15 @@ def test_pq_check_runs_when_dt_does_not_divide_the_train(tmp_path):
     assert float(rows[-1][0]) == pytest.approx(2.601)
 
 
+def test_pq_check_runs_on_a_one_point_grid(tmp_path):
+    # m * tau = 1.3 is under dt / 2, so the grid is t = 0 alone.
+    out = tmp_path / "pq.csv"
+    assert run_cli("pq-check", "--dt", "10", "--m", "1", "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 1
+    assert float(rows[0][0]) == 0.0
+
+
 def test_pq_check_runs_with_dt_above_hold(tmp_path):
     out = tmp_path / "pq.csv"
     args = ("pq-check", "--n", "10", "--psi", "2.0", "--tau", "1.2", "--delta", "0.6",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ddchain.kernel as kernel_module
 from ddchain.errors import NumericalError
 from ddchain.kernel import (
     _LEAF,
@@ -238,20 +239,36 @@ def test_p_equation_matches_oracle_drives(control, drive_offset, refine):
     assert np.abs(p - oracle).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5, 5000])
+@pytest.mark.parametrize("n", [0, 1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5, 5000])
 def test_p_equation_matches_oracle_at_block_edges(n):
+    # n = 0: t_max = 0.4 * dt rounds to a grid of the single point t = 0.
     dt = 1e-3
+    t_max = max(n, 0.4) * dt
+    kernel = _small_env_kernel(dt, t_max)
+    pulse = PulseSpec(5.0, 0.25, 0.1, max(n, 1))
+    p = solve_p_equation(kernel, pulse, t_max, dt, drive_offset=0.1)
+    assert len(p) == n + 1
+    assert not p.flags.writeable
+    assert np.abs(p - oracle_solve_p_equation(kernel, pulse, t_max, dt, 0.1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 5, 100, 2048])
+def test_p_equation_does_not_depend_on_the_leaf_size(monkeypatch, leaf):
+    # Leaf blocks of every size, down to one step, meet FFT spans of every
+    # width and the sub-diagonal coupling across each block boundary.
+    n, dt = 1000, 1e-3
     kernel = _small_env_kernel(dt, n * dt)
     pulse = PulseSpec(5.0, 0.25, 0.1, n)
+    oracle = oracle_solve_p_equation(kernel, pulse, n * dt, dt, 0.1)
+    monkeypatch.setattr(kernel_module, "_LEAF", leaf)
     p = solve_p_equation(kernel, pulse, n * dt, dt, drive_offset=0.1)
-    assert len(p) == n + 1
-    assert np.abs(p - oracle_solve_p_equation(kernel, pulse, n * dt, dt, 0.1)).max() <= 1e-12
+    assert np.abs(p - oracle).max() <= 1e-12
 
 
 def test_p_equation_matches_oracle_at_bench_length():
     # The paper chain's kernel under the default pulse for 32 periods:
     # 41 600 steps. The block solves round differently from the oracle's
-    # scalar steps, and the difference grows with the step count: 4.9e-12
+    # scalar steps, and the difference grows with the step count: 4.8e-12
     # measured at this length, 2.0e-11 at 128 periods.
     dt, pulse = 1e-3, PulseSpec(8.0, 1.3, 1.2, 32)
     t_max = pulse.periods * pulse.period
