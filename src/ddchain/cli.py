@@ -150,16 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ddchain {__version__}")
     sub = parser.add_subparsers(dest="command")
-    descriptions = {
-        "delta-tau": "final fidelity over a (width, period) grid",
-        "size": "free vs controlled final fidelity per chain size",
-        "trace": "fidelity time traces for the disorder variants",
-        "ratio-psi": "final fidelity over a (period/width, strength) grid",
-        "kernel": "environment correlation function and its lifetime",
-        "pq-check": "memory-kernel route vs direct propagation",
-    }
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=descriptions[kind])
+    for kind, help_text in KINDS.items():
+        p = sub.add_parser(kind, help=help_text)
         p.add_argument("--config", help="key=value config file (flags override it)")
         for key in _FLAG_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V")

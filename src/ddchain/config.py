@@ -18,7 +18,15 @@ from dataclasses import dataclass, fields
 
 from .errors import DdchainError
 
-KINDS = ("delta-tau", "size", "trace", "ratio-psi", "kernel", "pq-check")
+# Every experiment kind, with its one-line help text.
+KINDS = {
+    "delta-tau": "final fidelity over a (width, period) grid",
+    "size": "free vs controlled final fidelity per chain size",
+    "trace": "fidelity time traces for the disorder variants",
+    "ratio-psi": "final fidelity over a (period/width, strength) grid",
+    "kernel": "environment correlation function and its lifetime",
+    "pq-check": "memory-kernel route vs direct propagation",
+}
 
 RESULT_PREFIX = "result."
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg.lapack
 
 from .eigen import decompose, spectral_sum
-from .errors import DdchainError, NumericalError
+from .errors import NumericalError
 from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, control_value, time_grid
 
 
@@ -37,15 +37,11 @@ from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, contro
 _LEAF = 64
 
 
-class LifetimeNotFoundError(DdchainError):
-    """The kernel trace has no sustained-decay window."""
-
-
 @dataclass(frozen=True)
 class KernelTrace:
-    """Memory kernel sampled on a uniform grid, samples[j] = g(j * dt),
-    plus the estimated decay lifetime (None if the trace has no
-    sustained-decay window)."""
+    """Result of the kernel study: the memory kernel sampled on a uniform
+    grid, samples[j] = g(j * dt), plus the estimated decay lifetime (None
+    if the trace has no sustained-decay window)."""
 
     dt: float
     samples: np.ndarray
@@ -83,48 +79,37 @@ def correlation_kernel(
     too short to certify one)."""
     samples = kernel_values(env, coupling, time_grid(dt, t_max))
     samples.flags.writeable = False
-    trace = KernelTrace(dt, samples, None)
-    try:
-        lifetime = estimate_lifetime(trace, threshold, hold)
-    except LifetimeNotFoundError:
-        lifetime = None
-    return KernelTrace(dt, samples, lifetime)
+    return KernelTrace(dt, samples, estimate_lifetime(samples, dt, threshold, hold))
 
 
-def estimate_lifetime(trace: KernelTrace, threshold: float = 0.02, hold: float = 0.5) -> float:
-    """First sustained decay time of Re g: the smallest grid time T with
+def estimate_lifetime(
+    samples: np.ndarray, dt: float, threshold: float = 0.02, hold: float = 0.5
+) -> float | None:
+    """First sustained decay time of Re g, from samples[j] = g(j * dt):
+    the smallest grid time T with
 
         Re g(t) <= threshold * g(0)   for every grid t in [T, T + hold].
 
     The criterion is one-sided: once the real part has fallen to the
     threshold it may oscillate below (including sign changes) without
-    resetting the decay time. Raises LifetimeNotFoundError when no
-    window of length ``hold`` fits inside the trace.
+    resetting the decay time. Returns None when no such window of length
+    ``hold`` fits inside the samples.
     """
     if not (0 < threshold < 1):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if hold < trace.dt:
-        raise ValueError(f"hold must be >= dt={trace.dt}, got {hold}")
-    scale = float(trace.samples[0].real)
-    below = trace.samples.real <= threshold * scale
-    n_hold = math.ceil(hold / trace.dt - 1e-9)
-    window = n_hold + 1
-    if window > len(below):
-        raise LifetimeNotFoundError(
-            f"trace of {len(below)} samples cannot certify a hold of {hold}"
-        )
-    # Window of `window` consecutive True values via a cumulative sum.
+    if hold < dt:
+        raise ValueError(f"hold must be >= dt={dt}, got {hold}")
+    below = samples.real <= threshold * float(samples[0].real)
+    window = math.ceil(hold / dt - 1e-9) + 1
+    # Window of `window` consecutive True values via a cumulative sum; a
+    # window longer than the samples leaves both slices empty.
     counts = np.cumsum(np.concatenate(([0], below.astype(np.int64))))
     full = np.nonzero(counts[window:] - counts[:-window] == window)[0]
-    if len(full) == 0:
-        raise LifetimeNotFoundError(
-            f"Re g never stays below {threshold} * g(0) for {hold} time units"
-        )
-    return float(full[0] * trace.dt)
+    return float(full[0] * dt) if len(full) else None
 
 
 def solve_p_equation(
-    kernel: KernelTrace,
+    g: np.ndarray,
     control: PulseSpec | None,
     t_max: float,
     dt: float,
@@ -136,8 +121,8 @@ def solve_p_equation(
     h(t) is ``drive_offset`` plus the rectangular pulse train (or just
     the offset when ``control`` is None), evaluated at step midpoints so
     pulse edges falling between grid points are never sampled exactly on
-    the discontinuity. The kernel trace must cover [0, t_max] at spacing
-    dt or an integer refinement of it.
+    the discontinuity. ``g`` is the kernel on the solver's own grid,
+    g[j] = g(j * dt); samples past the n + 1 grid times are ignored.
 
     Scheme: the trapezoid rule on the uniform grid 0, dt, ..., n * dt
     with n = round(t_max / dt), both for the step and for the memory
@@ -151,23 +136,15 @@ def solve_p_equation(
     1 and 2 OpenBLAS threads.
 
     Raises ValueError when ``t_max`` runs past the end of the pulse
-    train, and NumericalError if |P| exceeds 1.05, the step-size instability
-    guard (the exact solution has |P| <= 1).
+    train or ``g`` has fewer than n + 1 samples, and NumericalError if
+    |P| exceeds 1.05, the step-size instability guard (the exact
+    solution has |P| <= 1).
     """
     n = len(time_grid(dt, t_max)) - 1
     if control is not None:
         check_within_train(control, t_max)
-    stride = int(round(dt / kernel.dt))
-    if stride < 1 or abs(stride * kernel.dt - dt) > 1e-9 * dt:
-        raise ValueError(
-            f"solver dt={dt} must be an integer multiple of the kernel spacing {kernel.dt}"
-        )
-    g = kernel.samples[::stride]
     if len(g) < n + 1:
-        raise ValueError(
-            f"kernel trace covers {(len(kernel.samples) - 1) * kernel.dt:g} time units, "
-            f"need {t_max:g}"
-        )
+        raise ValueError(f"kernel samples too short: {len(g)} for {n + 1} grid times")
     g = g[: n + 1]
     half = 0.5 * dt
     # Row k (step k, k = 1..n) reads p[k - l] with weight q[l] for lags l >= 2;

@@ -6,10 +6,6 @@ The full mapping (seed, tags, draw index) -> double is fixed by this
 module alone, so disorder realizations are bit-for-bit reproducible
 across runs, processes, and platforms. Library RNGs are deliberately
 not used: their streams are not a stable contract.
-
-Uniform doubles on the open interval (-1, 1) are produced from the top
-53 bits of each 64-bit output, mapped to odd multiples of 2^-53. The
-endpoints are unreachable by construction.
 """
 
 from __future__ import annotations
@@ -51,22 +47,16 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
-
-    def uniform_open(self) -> float:
-        """One double, uniform on the open interval (-1, 1).
-
-        The 53 top bits k give the odd numerator 2k+1, so the result is
-        (2k + 1 - 2^53) / 2^53: symmetric about zero and strictly inside
-        (-1, 1), with every value exactly representable.
-        """
-        k = self.next_u64() >> 11
-        return ((k << 1) + 1 - (1 << 53)) / _SCALE
-
     def uniform_open_vector(self, n: int) -> np.ndarray:
-        """The next ``n`` draws of ``uniform_open``, as one uint64 array expression."""
+        """The next ``n`` doubles of the stream, uniform on the open interval (-1, 1).
+
+        Draw i (i = 1..n) is the output mix64(state + i * golden) of one
+        splitmix64 advance. Its top 53 bits k give the odd numerator
+        2k+1, so the draw is (2k + 1 - 2^53) / 2^53: symmetric about zero
+        and strictly inside (-1, 1), with every value exactly
+        representable. All n draws are one uint64 array expression, and
+        the state moves on by n advances.
+        """
         x = mix64(np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN + self._state)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return (((x >> 11) << 1 | 1).astype(np.int64) - (1 << 53)).astype(float) / _SCALE

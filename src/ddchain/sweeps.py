@@ -186,8 +186,7 @@ def pq_check(
     bond_off, site_off = sample_static_disorder(chain)
     h = build_free_hamiltonian(chain, bond_off, site_off)
     times = time_grid(dt, t_max)
-    # The solver reads only the samples, so no lifetime is estimated.
-    kernel = KernelTrace(dt, kernel_values(environment_block(h), h.off_diagonal[0], times), None)
-    p = solve_p_equation(kernel, pulse, t_max, dt, drive_offset=h.diagonal[0])
+    g = kernel_values(environment_block(h), h.off_diagonal[0], times)
+    p = solve_p_equation(g, pulse, t_max, dt, drive_offset=h.diagonal[0])
     p_abs = np.abs(p)
     return PqComparison(times, p_abs, direct, np.abs(p_abs - direct))

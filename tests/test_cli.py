@@ -46,6 +46,14 @@ def test_kernel_run_writes_csv_and_sidecar(tmp_path):
     meta = (tmp_path / "k.csv.meta").read_text(encoding="utf-8")
     lifetime = float(re.search(r"result\.lifetime=(\S+)", meta).group(1))
     assert lifetime == pytest.approx(1.87, abs=0.05)
+    # A trace too short for the hold window has no lifetime, and its sidecar
+    # still regenerates the same bytes.
+    short, again = tmp_path / "short.csv", tmp_path / "again.csv"
+    assert run_cli("kernel", "--t-max", "1", "--out", str(short)) == 0
+    meta = Path(sidecar_path(str(short))).read_text(encoding="utf-8")
+    assert re.search(r"^result\.lifetime=nan$", meta, re.MULTILINE)
+    assert run_cli("kernel", "--config", sidecar_path(str(short)), "--out", str(again)) == 0
+    assert again.read_bytes() == short.read_bytes()
 
 
 def test_sidecar_reruns_to_identical_csv(tmp_path):
@@ -79,6 +87,8 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
           "--delta-steps", "4", "--tau-steps", "4"], 4 * 4),
         # The trace's per-period noise variant takes a new basis every period.
         (["trace", "--m", "12"], 13),
+        (["size", "--n-values", "20,40,60,80,100,130", "--m", "8"], 6),
+        (["kernel"], 501),
         # The Volterra history sums and block solves must not go through threaded BLAS.
         (["pq-check", "--m", "12"], 15601),
     ]

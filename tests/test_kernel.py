@@ -7,8 +7,6 @@ import ddchain.kernel as kernel_module
 from ddchain.errors import NumericalError
 from ddchain.kernel import (
     _LEAF,
-    KernelTrace,
-    LifetimeNotFoundError,
     correlation_kernel,
     estimate_lifetime,
     kernel_values,
@@ -32,15 +30,11 @@ def free_env(n, j=1.0):
     return TridiagonalHamiltonian(np.zeros(n), np.full(n - 1, j))
 
 
-def oracle_solve_p_equation(kernel, control, t_max, dt, drive_offset=0.0):
+def oracle_solve_p_equation(g, control, t_max, dt, drive_offset=0.0):
     """The O(n^2) stepper: one history dot per step, scalar drive calls."""
     n = len(time_grid(dt, t_max)) - 1
     if control is not None:
         check_within_train(control, t_max)
-    stride = int(round(dt / kernel.dt))
-    if stride < 1 or abs(stride * kernel.dt - dt) > 1e-9 * dt:
-        raise ValueError(f"solver dt={dt} must be an integer multiple of {kernel.dt}")
-    g = kernel.samples[::stride]
     if len(g) < n + 1:
         raise ValueError("kernel trace too short")
     g = g[: n + 1]
@@ -95,23 +89,26 @@ def test_kernel_hermiticity():
 def test_lifetime_of_exponential_kernel():
     dt = 1e-3
     t = np.arange(0, 6.0 + dt / 2, dt)
-    trace = KernelTrace(dt, np.exp(-t).astype(complex), None)
-    lifetime = estimate_lifetime(trace, threshold=0.02, hold=0.5)
+    lifetime = estimate_lifetime(np.exp(-t).astype(complex), dt, threshold=0.02, hold=0.5)
     assert abs(lifetime - math.log(50)) <= dt + 1e-12
 
 
 def test_lifetime_not_found_for_constant_kernel():
-    trace = KernelTrace(0.01, np.ones(500, dtype=complex), None)
-    with pytest.raises(LifetimeNotFoundError):
-        estimate_lifetime(trace, 0.02, 0.5)
+    assert estimate_lifetime(np.ones(500, dtype=complex), 0.01, 0.02, 0.5) is None
 
 
 def test_lifetime_needs_room_for_hold_window():
-    trace = KernelTrace(0.1, np.zeros(3, dtype=complex), None)
-    with pytest.raises(LifetimeNotFoundError):
-        estimate_lifetime(trace, 0.02, 0.5)
+    samples = np.zeros(3, dtype=complex)
+    assert estimate_lifetime(samples, 0.1, 0.02, 0.5) is None
     with pytest.raises(ValueError):
-        estimate_lifetime(trace, 1.5, 0.2)
+        estimate_lifetime(samples, 0.1, 1.5, 0.2)
+
+
+@pytest.mark.parametrize("extra, expected", [(-1, None), (0, 0.0), (1, 0.0)])
+def test_lifetime_window_at_the_trace_length(extra, expected):
+    # hold = 0.5 at dt = 0.1 needs a window of 6 samples; a decayed trace
+    # one sample shorter has none, and one of 6 or 7 decays at t = 0.
+    assert estimate_lifetime(np.zeros(6 + extra, dtype=complex), 0.1, 0.02, 0.5) == expected
 
 
 def test_long_chain_kernel_decay_time():
@@ -141,15 +138,14 @@ def test_disorder_perturbs_kernel_late_not_early():
 
 
 def test_p_equation_trivial_case():
-    trace = KernelTrace(0.01, np.zeros(201, dtype=complex), None)
-    p = solve_p_equation(trace, None, 2.0, 0.01)
+    p = solve_p_equation(np.zeros(201, dtype=complex), None, 2.0, 0.01)
     assert np.array_equal(p, np.ones(201, dtype=complex))
 
 
 def test_p_equation_matches_direct_three_site():
     dt, t_max = 1e-3, 5.0
     trace = correlation_kernel(free_env(2), 1.0, dt, t_max)
-    p = solve_p_equation(trace, None, t_max, dt)
+    p = solve_p_equation(trace.samples, None, t_max, dt)
     direct = np.abs(site_amplitude_trace(ChainSpec(n_sites=3), None, dt, t_max))
     assert np.abs(np.abs(p) - direct).max() <= 1e-4
 
@@ -158,7 +154,7 @@ def test_p_equation_with_pulse_small_chain():
     dt, t_max = 1e-3, 6.5
     pulse = PulseSpec(8.0, 1.3, 1.2, 5)
     trace = correlation_kernel(free_env(4), 1.0, dt, t_max)
-    p = solve_p_equation(trace, pulse, t_max, dt)
+    p = solve_p_equation(trace.samples, pulse, t_max, dt)
     direct = np.abs(site_amplitude_trace(ChainSpec(n_sites=5), pulse, dt, t_max))
     assert np.abs(np.abs(p) - direct).max() <= 1e-4
 
@@ -174,38 +170,27 @@ def test_p_equation_matches_protocol_full_scale():
     assert np.abs(comparison.p_abs[boundary] - record.fidelities).max() <= 5e-3
 
 
-def test_p_equation_accepts_finer_kernel_grid():
-    dt, t_max = 1e-2, 3.0
-    coarse = correlation_kernel(free_env(2), 1.0, dt, t_max)
-    fine = correlation_kernel(free_env(2), 1.0, dt / 4, t_max)
-    a = solve_p_equation(coarse, None, t_max, dt)
-    b = solve_p_equation(fine, None, t_max, dt)
-    assert np.abs(a - b).max() <= 1e-12
-
-
 def test_p_equation_grid_validation():
     trace = correlation_kernel(free_env(2), 1.0, 0.01, 1.0)
-    with pytest.raises(ValueError):
-        solve_p_equation(trace, None, 2.0, 0.01)  # kernel too short
-    with pytest.raises(ValueError):
-        solve_p_equation(trace, None, 0.5, 0.015)  # dt not a multiple
+    with pytest.raises(ValueError, match="too short"):
+        solve_p_equation(trace.samples, None, 2.0, 0.01)
 
 
 def test_p_equation_instability_guard():
     # A large negative-real kernel with a coarse step makes |P| blow up.
-    trace = KernelTrace(0.1, np.full(101, -4.0, dtype=complex), None)
+    g = np.full(101, -4.0, dtype=complex)
     with pytest.raises(NumericalError):
-        solve_p_equation(trace, None, 10.0, 0.1)
+        solve_p_equation(g, None, 10.0, 0.1)
 
 
 def test_p_equation_instability_guard_fails_at_the_oracle_step():
     # A small negative kernel makes |P| grow like cosh; it crosses 1.05
     # at step 82, past the first block, so the FFT history feeds it.
-    trace = KernelTrace(0.1, np.full(201, -1.5e-3, dtype=complex), None)
+    g = np.full(201, -1.5e-3, dtype=complex)
     with pytest.raises(NumericalError) as expected:
-        oracle_solve_p_equation(trace, None, 20.0, 0.1, drive_offset=0.01)
+        oracle_solve_p_equation(g, None, 20.0, 0.1, drive_offset=0.01)
     with pytest.raises(NumericalError) as got:
-        solve_p_equation(trace, None, 20.0, 0.1, drive_offset=0.01)
+        solve_p_equation(g, None, 20.0, 0.1, drive_offset=0.01)
     step = str(expected.value).split(":")[0]
     assert step == "memory-kernel stepper unstable at t=8.2"
     assert str(got.value).split(":")[0] == step
@@ -213,27 +198,28 @@ def test_p_equation_instability_guard_fails_at_the_oracle_step():
 
 def test_p_equation_singular_step_is_a_numerical_error():
     # 1 + (dt/2)^2 g(0) = 0 with no drive: the implicit step has no solution.
-    trace = KernelTrace(0.5, np.full(11, -16.0, dtype=complex), None)
+    g = np.full(11, -16.0, dtype=complex)
     with pytest.raises(NumericalError, match="singular"):
-        solve_p_equation(trace, None, 5.0, 0.5)
+        solve_p_equation(g, None, 5.0, 0.5)
 
 
 def _small_env_kernel(dt, t_max):
     env = TridiagonalHamiltonian(np.linspace(-0.4, 0.5, 9), np.full(8, 1.1))
-    return KernelTrace(dt, kernel_values(env, 0.9, time_grid(dt, t_max)), None)
+    return kernel_values(env, 0.9, time_grid(dt, t_max))
 
 
-@pytest.mark.parametrize("control, drive_offset, refine", [
+@pytest.mark.parametrize("control, drive_offset, extra", [
     (None, 0.7, 1),
     (PulseSpec(8.0, 1.3, 1.2, 4), 0.0, 1),
     (PulseSpec(0.0, 1.3, 1.2, 4), 0.2, 1),   # psi = 0
     (PulseSpec(6.0, 1.3, 0.0, 4), 0.0, 1),   # delta = 0
     (PulseSpec(6.0, 1.3, 1.3, 4), -0.3, 1),  # delta = tau
-    (PulseSpec(8.0, 1.3, 0.6, 4), 0.0, 4),   # kernel grid 4x finer than dt
+    (PulseSpec(8.0, 1.3, 0.6, 4), 0.0, 4),
 ])
-def test_p_equation_matches_oracle_drives(control, drive_offset, refine):
+def test_p_equation_matches_oracle_drives(control, drive_offset, extra):
+    # The kernel runs `extra` samples past t_max; the solver must ignore them.
     dt, t_max = 1e-3, 5.2
-    kernel = _small_env_kernel(dt / refine, t_max)
+    kernel = _small_env_kernel(dt, t_max + extra * dt)
     p = solve_p_equation(kernel, control, t_max, dt, drive_offset)
     oracle = oracle_solve_p_equation(kernel, control, t_max, dt, drive_offset)
     assert np.abs(p - oracle).max() <= 1e-12
@@ -273,7 +259,7 @@ def test_p_equation_matches_oracle_at_bench_length():
     dt, pulse = 1e-3, PulseSpec(8.0, 1.3, 1.2, 32)
     t_max = pulse.periods * pulse.period
     env = environment_block(build_free_hamiltonian(ChainSpec(130)))
-    kernel = KernelTrace(dt, kernel_values(env, 1.0, time_grid(dt, t_max)), None)
+    kernel = kernel_values(env, 1.0, time_grid(dt, t_max))
     p = solve_p_equation(kernel, pulse, t_max, dt)
     assert len(p) == 41601
     assert np.abs(p - oracle_solve_p_equation(kernel, pulse, t_max, dt)).max() <= 1e-11
@@ -294,15 +280,14 @@ def test_p_equation_matches_oracle_on_random_kernels():
     def check(n, dt, scale, offset, seed):
         rng = np.random.default_rng(seed)
         g = scale * (rng.uniform(-1, 1, n + 1) + 1j * rng.uniform(-1, 1, n + 1))
-        kernel = KernelTrace(dt, g, None)
         try:
-            oracle = oracle_solve_p_equation(kernel, None, n * dt, dt, offset)
+            oracle = oracle_solve_p_equation(g, None, n * dt, dt, offset)
         except NumericalError as err:
             with pytest.raises(NumericalError) as got:
-                solve_p_equation(kernel, None, n * dt, dt, offset)
+                solve_p_equation(g, None, n * dt, dt, offset)
             assert str(got.value).split(":")[0] == str(err).split(":")[0]
             return
-        assert np.abs(solve_p_equation(kernel, None, n * dt, dt, offset) - oracle).max() <= 1e-12
+        assert np.abs(solve_p_equation(g, None, n * dt, dt, offset) - oracle).max() <= 1e-12
 
     check()
 
@@ -337,7 +322,7 @@ def test_lifetime_from_semi_infinite_chain_closed_form(j, expected):
     t = time_grid(0.01, 5.0)
     g = np.full(len(t), j * j, dtype=complex)
     g[1:] = j * j * j1(2 * j * t[1:]) / (j * t[1:])
-    lifetime = estimate_lifetime(KernelTrace(0.01, g, None))
+    lifetime = estimate_lifetime(g, 0.01)
     assert lifetime == pytest.approx(expected, abs=1e-9)
     if j == 1.0:
         assert abs(lifetime - 1.7) <= 0.2  # the acceptance window
@@ -402,10 +387,10 @@ def test_pq_check_rejects_time_past_pulse_train():
 
 
 def test_p_equation_rejects_time_past_pulse_train():
-    trace = correlation_kernel(free_env(4), 1.0, 0.01, 2.0)
+    g = correlation_kernel(free_env(4), 1.0, 0.01, 2.0).samples
     with pytest.raises(ValueError, match="pulse train"):
-        solve_p_equation(trace, PulseSpec(5.0, 1.0, 0.5, 1), 2.0, 0.01)
-    assert len(solve_p_equation(trace, PulseSpec(5.0, 1.0, 0.5, 2), 2.0, 0.01)) == 201
+        solve_p_equation(g, PulseSpec(5.0, 1.0, 0.5, 1), 2.0, 0.01)
+    assert len(solve_p_equation(g, PulseSpec(5.0, 1.0, 0.5, 2), 2.0, 0.01)) == 201
 
 
 def test_pq_check_rejects_period_noise():
