@@ -116,7 +116,7 @@ def run(cfg: RunConfig) -> str:
         results["lifetime"] = repr(lifetime)
         summary = f"lifetime={lifetime:g}"
     elif cfg.kind == "pq-check":
-        pulse = None if cfg.psi == 0.0 else PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
+        pulse = PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
         comparison = pq_check(chain, pulse, cfg.dt, cfg.m * cfg.tau)
         columns = {"t": comparison.times, "abs_p": comparison.p_abs,
                    "fidelity_direct": comparison.direct, "abs_error": comparison.abs_error}

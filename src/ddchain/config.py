@@ -1,10 +1,11 @@
 """Run configuration: flat key=value files, flag overrides, validation.
 
 Config files are UTF-8 text, one ``key=value`` per line; blank lines and
-lines starting with ``#`` are ignored. Keys not in the schema are an
-error (no silent typo tolerance), with one exception: keys under the
-reserved ``result.`` prefix are skipped, so a run's metadata sidecar can
-be fed back in as a config file and reproduces the run exactly.
+lines starting with ``#`` are ignored; a key given twice is an error.
+Keys not in the schema are an error (no silent typo tolerance), with one
+exception: keys under the reserved ``result.`` prefix are skipped, so a
+run's metadata sidecar can be fed back in as a config file and
+reproduces the run exactly.
 
 Every field always has a concrete value after parsing (kind-dependent
 defaults are resolved at parse time), so serializing a RunConfig and
@@ -99,8 +100,9 @@ _SINGLE_PULSE_KINDS = ("size", "trace", "pq-check")
 
 
 def read_key_value_file(path: str) -> dict[str, str]:
-    """Raw key -> value strings from a flat config file."""
+    """Raw key -> value strings from a flat config file; a key given twice is an error."""
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -108,8 +110,10 @@ def read_key_value_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if (first := first_line.setdefault(key, lineno)) != lineno:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already given on line {first}")
+            entries[key] = value
     return entries
 
 

@@ -110,7 +110,7 @@ def estimate_lifetime(
 
 def solve_p_equation(
     g: np.ndarray,
-    control: PulseSpec | None,
+    control: PulseSpec,
     t_max: float,
     dt: float,
     drive_offset: float = 0.0,
@@ -118,8 +118,8 @@ def solve_p_equation(
     """Integrate the memory-kernel equation for the qubit amplitude;
     returns the read-only array p[j] = P(j * dt).
 
-    h(t) is ``drive_offset`` plus the rectangular pulse train (or just
-    the offset when ``control`` is None), evaluated at step midpoints so
+    h(t) is ``drive_offset`` plus the rectangular pulse train (just the
+    offset for a zero-strength train), evaluated at step midpoints so
     pulse edges falling between grid points are never sampled exactly on
     the discontinuity. ``g`` is the kernel on the solver's own grid,
     g[j] = g(j * dt); samples past the n + 1 grid times are ignored.
@@ -141,8 +141,7 @@ def solve_p_equation(
     solution has |P| <= 1).
     """
     n = len(time_grid(dt, t_max)) - 1
-    if control is not None:
-        check_within_train(control, t_max)
+    check_within_train(control, t_max)
     if len(g) < n + 1:
         raise ValueError(f"kernel samples too short: {len(g)} for {n + 1} grid times")
     g = g[: n + 1]
@@ -161,8 +160,7 @@ def solve_p_equation(
     # on its sub-diagonal, c = half * (i h + half * g[0]) with h at the step
     # midpoint (k - 0.5) * dt.
     c = np.full(n, drive_offset, dtype=complex)
-    if control is not None:
-        c += control_value(control, (np.arange(n) + 0.5) * dt)
+    c += control_value(control, (np.arange(n) + 0.5) * dt)
     c *= 1j * half
     c += half * half * g[0]
     p = np.empty(n + 1, dtype=complex)

@@ -56,7 +56,6 @@ class ChainSpec:
 
     n_sites: int
     coupling: float = 1.0
-    site_energies: tuple[float, ...] | None = None
     static_coupling_disorder: float = 0.0
     band_broadening: float = 0.0
     per_period_noise: float = 0.0
@@ -71,14 +70,6 @@ class ChainSpec:
             _check_finite(name, v)
             if v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
-        if self.site_energies is not None:
-            if len(self.site_energies) != self.n_sites:
-                raise ValueError(
-                    f"site_energies has length {len(self.site_energies)}, "
-                    f"expected n_sites={self.n_sites}"
-                )
-            for v in self.site_energies:
-                _check_finite("site_energies entry", v)
         if not (0 <= self.seed <= _SEED_MAX):
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -175,12 +166,10 @@ def build_free_hamiltonian(
     bond_offsets: np.ndarray | None = None,
     site_offsets: np.ndarray | None = None,
 ) -> TridiagonalHamiltonian:
-    """One-magnon Hamiltonian of the undriven chain.
-
-    diagonal = site_energies + site_offsets, off_diagonal = J + bond_offsets.
-    """
+    """One-magnon Hamiltonian of the undriven chain: diagonal = site_offsets,
+    off_diagonal = J + bond_offsets, with omitted offsets zero."""
     n = spec.n_sites
-    diag = np.zeros(n) if spec.site_energies is None else np.asarray(spec.site_energies, float).copy()
+    diag = np.zeros(n)
     diag += _offsets(site_offsets, n, "site_offsets")
     off = np.full(n - 1, spec.coupling) + _offsets(bond_offsets, n - 1, "bond_offsets")
     return TridiagonalHamiltonian(diag, off)

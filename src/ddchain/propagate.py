@@ -175,11 +175,9 @@ def final_fidelity(chain: ChainSpec, pulse: PulseSpec) -> float:
     return float(final_fidelities(chain, [pulse])[0])
 
 
-def site_amplitude_trace(
-    chain: ChainSpec, pulse: PulseSpec | None, dt: float, t_max: float
-) -> np.ndarray:
+def site_amplitude_trace(chain: ChainSpec, pulse: PulseSpec, dt: float, t_max: float) -> np.ndarray:
     """Qubit amplitude on the uniform grid 0, dt, ..., ~t_max under the
-    protocol (or free evolution when ``pulse`` is None).
+    protocol (free evolution is a zero-strength train).
 
     The protocol runs on the batched core with one column, whose norm
     guard raises NumericalError; each segment's samples come from its
@@ -187,19 +185,12 @@ def site_amplitude_trace(
     only at period boundaries. ``t_max`` must not pass the end of the
     pulse train, ``periods * period``; when ``dt`` does not divide
     ``t_max`` the grid end rounds to the nearest step, and up to half a
-    step past the train the protocol simply runs on. Per-period noise
-    requires the protocol clock, so it is rejected when ``pulse`` is None.
+    step past the train the protocol simply runs on.
     """
     t_grid = time_grid(dt, t_max)
     t_end = t_grid[-1]
     tol = 1e-9 * dt
-    if pulse is None:
-        if chain.per_period_noise > 0.0:
-            raise ValueError("per-period noise needs a pulse protocol clock")
-        # One free period spanning the whole grid, even when t_end rounds to 0.
-        pulse = PulseSpec(0.0, max(t_end, t_max), 0.0, 1)
-    else:
-        check_within_train(pulse, t_max)
+    check_within_train(pulse, t_max)
 
     periods = max(1, math.ceil((t_end - tol) / pulse.period))
     periods += periods * pulse.period < t_end - tol  # when the division rounded down

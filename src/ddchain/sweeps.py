@@ -115,8 +115,6 @@ def sweep_size(chain: ChainSpec, psi: float, delta: float, tau: float, m: int,
                n_values) -> SizeSweep:
     """Free and controlled final fidelity of ``chain`` resized to each of
     ``n_values``; ``chain.n_sites`` is not used."""
-    if chain.site_energies is not None:
-        raise ValueError("sweep_size cannot resize a chain with site_energies")
     n_values = np.asarray(n_values, dtype=int)
     pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
     pairs = np.array([final_fidelities(replace(chain, n_sites=int(n)), pulses)
@@ -168,11 +166,10 @@ def kernel_study(
     return correlation_kernel(env, chain.coupling, dt, t_max, threshold, hold)
 
 
-def pq_check(
-    chain: ChainSpec, pulse: PulseSpec | None, dt: float, t_max: float
-) -> PqComparison:
-    """Solve the memory-kernel equation and compare |P(t)| against the
-    qubit amplitude from full unitary propagation on the same grid.
+def pq_check(chain: ChainSpec, pulse: PulseSpec, dt: float, t_max: float) -> PqComparison:
+    """Solve the memory-kernel equation under ``pulse`` (of zero strength
+    for free evolution) and compare |P(t)| against the qubit amplitude
+    from full unitary propagation on the same grid.
 
     Exact for any static chain: the drive offset, qubit-bath coupling,
     and environment block are read off the built Hamiltonian, disorder

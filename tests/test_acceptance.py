@@ -80,7 +80,7 @@ def test_criterion_5_memory_kernel_route_matches_direct():
     worst_ratio = np.inf
     for n in (3, 5, 10, 30):
         chain = ChainSpec(n_sites=n)
-        for control in (None, pulse):
+        for control in (PulseSpec(0.0, t_max, 0.0, 1), pulse):
             err = pq_check(chain, control, 1e-3, t_max).abs_error.max()
             err_half = pq_check(chain, control, 5e-4, t_max).abs_error.max()
             worst_error = max(worst_error, err)

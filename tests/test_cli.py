@@ -91,6 +91,8 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
         (["kernel"], 501),
         # The Volterra history sums and block solves must not go through threaded BLAS.
         (["pq-check", "--m", "12"], 15601),
+        # At zero strength the direct trace samples every segment of the train.
+        (["pq-check", "--psi", "0", "--m", "12"], 15601),
     ]
     for args, rows in runs:
         outputs = []

@@ -189,6 +189,15 @@ def test_malformed_line_reports_location(tmp_path):
         parse_config(path)
 
 
+def test_key_given_twice_is_an_error(tmp_path):
+    path = write(tmp_path, "kind=size\nm=4\n# retry\nm=8\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'm' already given on line 2"):
+        parse_config(path)
+    # A flag still overrides the file's one value.
+    path = write(tmp_path, "kind=size\nm=4\n")
+    assert parse_config(path, overrides={"m": "8"}).m == 8
+
+
 def test_serialization_round_trip(tmp_path):
     original = parse_config(kind="trace", overrides={"n": "40", "seed": "123", "tau": "1.7"})
     path = write(tmp_path, "\n".join(config_to_lines(original)) + "\n")

@@ -128,7 +128,7 @@ def test_outputs_are_invariant_under_eigenvector_sign_flips(monkeypatch):
             final_fidelities(noisy, pulses),
             run_protocol(noisy, pulse).fidelities,
             site_amplitude_trace(chain, pulse, 0.01, 7.8),
-            site_amplitude_trace(chain, None, 0.01, 5.0),
+            site_amplitude_trace(chain, PulseSpec(0.0, 5.0, 0.0, 1), 0.01, 5.0),
             kernel_values(env, 0.9, times),
             pq.p_abs, pq.direct,
         ]

@@ -28,13 +28,6 @@ def test_free_hamiltonian_decoupled_chain():
     assert np.array_equal(h.off_diagonal, [0.0])
 
 
-def test_free_hamiltonian_site_energies():
-    spec = ChainSpec(n_sites=4, coupling=1.0, site_energies=(0.3, 0.0, 0.0, 0.0))
-    h = build_free_hamiltonian(spec)
-    assert np.array_equal(h.diagonal, [0.3, 0.0, 0.0, 0.0])
-    assert np.array_equal(h.off_diagonal, [1.0, 1.0, 1.0])
-
-
 def test_controlled_hamiltonian_shifts_first_site():
     spec = ChainSpec(n_sites=3, coupling=1.0)
     pulse = PulseSpec(8.0, 1.3, 1.2, 1)
@@ -79,7 +72,6 @@ def test_offset_length_mismatch_rejected():
         {"n_sites": 4, "band_broadening": -1.0},
         {"n_sites": 4, "per_period_noise": float("nan")},
         {"n_sites": 4, "coupling": float("inf")},
-        {"n_sites": 4, "site_energies": (0.0, 0.0)},
         {"n_sites": 4, "seed": -1},
         {"n_sites": 4, "seed": 1 << 64},
     ],
@@ -154,7 +146,7 @@ def test_period_noise_varies_per_period_and_is_pure():
 
 
 def test_environment_block():
-    h = build_free_hamiltonian(ChainSpec(n_sites=4, site_energies=(0.1, 0.2, 0.3, 0.4)))
+    h = build_free_hamiltonian(ChainSpec(n_sites=4), site_offsets=np.array([0.1, 0.2, 0.3, 0.4]))
     env = environment_block(h)
     assert np.array_equal(env.diagonal, [0.2, 0.3, 0.4])
     assert np.array_equal(env.off_diagonal, [1.0, 1.0])

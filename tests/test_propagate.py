@@ -169,12 +169,10 @@ def test_amplitude_trace_stops_at_end_of_pulse_train():
 
 def test_amplitude_trace_free_evolution():
     chain = ChainSpec(n_sites=6)
-    trace = site_amplitude_trace(chain, None, 0.05, 3.0)
+    trace = site_amplitude_trace(chain, PulseSpec(0.0, 3.0, 0.0, 1), 0.05, 3.0)
     free = decompose(build_free_hamiltonian(chain))
     expected = abs(evolve_interval(initial_state(6), free, 2.0)[0])
     assert abs(trace[40]) == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(ValueError):
-        site_amplitude_trace(ChainSpec(n_sites=6, per_period_noise=0.1), None, 0.05, 3.0)
 
 
 def test_landmark_controlled_fidelity():
@@ -284,7 +282,7 @@ def test_batched_matches_oracle_on_random_chains():
         pulses=st.lists(pulse_st, min_size=1, max_size=12),
     )
     def check(n, coupling, gamma, epsilon, eta, seed, pulses):
-        chain = ChainSpec(n, coupling, None, gamma, epsilon, eta, seed)
+        chain = ChainSpec(n, coupling, gamma, epsilon, eta, seed)
         batched = final_fidelities(chain, pulses)
         oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
         assert np.abs(batched - oracle).max() <= 1e-12
@@ -345,17 +343,16 @@ TRACE_CASES = [
     # The grid ends at 3.41, 1e-9 dt past the train, where the period count
     # (t_end - 1e-9 dt) / period rounds down to 39 although a 40th period starts.
     (PulseSpec(5.0, 0.08743589743564102, 0.04, 39), 0.01, 39 * 0.08743589743564102),
-    (None, 0.05, 6.0),
+    (None, 0.05, 6.0),  # free evolution, in the oracle's own spelling
 ]
 
 
-# Free evolution has no protocol clock for per-period noise.
 @pytest.mark.parametrize("chain, pulse, dt, t_max", [
     (chain, *case) for chain in DISORDERED_CHAINS for case in TRACE_CASES
-    if case[0] is not None or chain.per_period_noise == 0.0
 ])
 def test_amplitude_trace_matches_site_basis_oracle(chain, pulse, dt, t_max):
-    trace = site_amplitude_trace(chain, pulse, dt, t_max)
+    train = PulseSpec(0.0, t_max, 0.0, 1) if pulse is None else pulse
+    trace = site_amplitude_trace(chain, train, dt, t_max)
     oracle = oracle_amplitude_trace(chain, pulse, dt, t_max)
     assert len(trace) == len(oracle)
     assert np.abs(trace - oracle).max() <= 1e-12
@@ -366,7 +363,8 @@ def test_free_amplitude_trace_matches_semi_infinite_chain_closed_form():
     # amplitude itself is real, because the spectrum is symmetric about 0.
     from scipy.special import j1
 
-    trace = site_amplitude_trace(ChainSpec(n_sites=130), None, 0.01, 100.0)
+    free = PulseSpec(0.0, 100.0, 0.0, 1)
+    trace = site_amplitude_trace(ChainSpec(n_sites=130), free, 0.01, 100.0)
     t = time_grid(0.01, 100.0)[1:]
     assert trace[0] == 1.0
     assert np.abs(trace[1:] - j1(2 * t) / t).max() <= 1e-12

@@ -47,12 +47,6 @@ def test_size_sweep_degenerate_chain():
     assert np.allclose(table.controlled, 1.0, atol=1e-12)
 
 
-def test_size_sweep_rejects_site_energies():
-    chain = ChainSpec(n_sites=4, site_energies=(0.1, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="cannot resize"):
-        sweep_size(chain, 8.0, 0.5, 1.0, 2, [4, 6])
-
-
 def test_size_sweep_free_oscillates_controlled_flat():
     # Free evolution zigzags strongly with chain size (decreasing with n);
     # the controlled protocol is flat near one across all sizes.
