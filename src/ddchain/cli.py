@@ -40,12 +40,6 @@ from .sweeps import (
 _FLAG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "kind")
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """One CSV column as text: integers plain, floats to 17 significant digits."""
-    fmt = str if np.issubdtype(column.dtype, np.integer) else "{:.16e}".format
-    return list(map(fmt, column.tolist()))
-
-
 def sidecar_path(out: str) -> str:
     return out + ".meta"
 
@@ -59,8 +53,11 @@ def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict
     try:
         with open(csv_temp, "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(columns) + "\n")
-            for row in zip(*map(_cells, columns.values())):
-                handle.write(",".join(row) + "\n")
+            # One row template: integers plain, floats to 17 significant digits.
+            template = ",".join("%d" if np.issubdtype(column.dtype, np.integer) else "%.16e"
+                                for column in columns.values()) + "\n"
+            rows = zip(*(column.tolist() for column in columns.values()))
+            handle.writelines(template % row for row in rows)
         results["wall_time_s"] = f"{time.perf_counter() - started:.3f}"
         lines = ["# ddchain run metadata; feed back via --config to regenerate"]
         lines += config_to_lines(cfg)
@@ -76,7 +73,8 @@ def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict
 
 
 def run(cfg: RunConfig) -> str:
-    """Execute one configured experiment; returns a one-line summary."""
+    """Execute one configured experiment; returns a one-line summary of the
+    ``result.*`` keys it recorded (all but the version)."""
     started = time.perf_counter()
     results: dict[str, str] = {"version": __version__}
     chain = ChainSpec(n_sites=cfg.n, coupling=cfg.j, static_coupling_disorder=cfg.gamma,
@@ -88,59 +86,52 @@ def run(cfg: RunConfig) -> str:
             np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
             np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
         )
-        columns, summary = _grid_columns(sweep, results)
+        columns = _grid_columns(sweep, results)
     elif cfg.kind == "ratio-psi":
         sweep = sweep_ratio_psi(
             chain, cfg.delta, cfg.m,
             np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps),
             np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
         )
-        columns, summary = _grid_columns(sweep, results)
+        columns = _grid_columns(sweep, results)
     elif cfg.kind == "size":
         table = sweep_size(chain, cfg.psi, cfg.delta, cfg.tau, cfg.m, cfg.n_values)
         columns = {"n": table.n_values, "fidelity_free": table.free,
                    "fidelity_controlled": table.controlled}
-        summary = f"{len(table.n_values)} sizes"
     elif cfg.kind == "trace":
         traces = trace_variants(chain, cfg.psi, cfg.delta, cfg.tau, cfg.m,
                                 record_every=cfg.record_every)
         columns = {"t": traces.times, "f_free": traces.free, "f_const": traces.constant,
                    "f_broadening": traces.broadening, "f_static_random": traces.static_random,
                    "f_period_noise": traces.period_noise}
-        summary = f"{len(traces.times)} times x 5 variants"
     elif cfg.kind == "kernel":
         trace = kernel_study(chain, cfg.dt, cfg.t_max, cfg.threshold, cfg.hold)
         columns = {"t": time_grid(trace.dt, cfg.t_max), "re_g": trace.samples.real,
                    "im_g": trace.samples.imag}
-        lifetime = float("nan") if trace.lifetime is None else trace.lifetime
-        results["lifetime"] = repr(lifetime)
-        summary = f"lifetime={lifetime:g}"
+        results["lifetime"] = repr(float("nan") if trace.lifetime is None else trace.lifetime)
     elif cfg.kind == "pq-check":
         pulse = PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
         comparison = pq_check(chain, pulse, cfg.dt, cfg.m * cfg.tau)
         columns = {"t": comparison.times, "abs_p": comparison.p_abs,
                    "fidelity_direct": comparison.direct, "abs_error": comparison.abs_error}
-        max_err = float(comparison.abs_error.max())
-        results["max_abs_error"] = repr(max_err)
-        summary = f"max_abs_error={max_err:.3e}"
+        results["max_abs_error"] = repr(float(comparison.abs_error.max()))
     else:  # unreachable after validation
         raise ConfigError(f"unknown kind {cfg.kind!r}")
 
     _write_outputs(cfg, columns, results, started)
+    summary = ", ".join(f"{key}={value}" for key, value in results.items() if key != "version")
     return f"{cfg.kind}: wrote {cfg.out} and {sidecar_path(cfg.out)} ({summary})"
 
 
 def _grid_columns(sweep: SweepResult, results: dict[str, str]):
-    """CSV columns (axis2 varying fastest) and summary of a 2-D sweep; records its cell counts."""
+    """CSV columns (axis2 varying fastest) of a 2-D sweep; records its cell counts."""
     grid = sweep.grid
     columns = {grid.axis1_name: np.repeat(grid.axis1, len(grid.axis2)),
                grid.axis2_name: np.tile(grid.axis2, len(grid.axis1)),
                "fidelity": sweep.fidelities.ravel()}
-    n_cells = sweep.fidelities.size
-    n_bad = int(np.isnan(sweep.fidelities).sum())
-    results["cells"] = str(n_cells)
-    results["infeasible_cells"] = str(n_bad)
-    return columns, f"{n_cells} cells, {n_bad} infeasible"
+    results["cells"] = str(sweep.fidelities.size)
+    results["infeasible_cells"] = str(int(np.isnan(sweep.fidelities).sum()))
+    return columns
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -197,6 +197,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.kind == "kernel":
         _require(cfg.hold >= cfg.dt, f"hold must be >= dt, got {cfg.hold}")
     if cfg.kind == "ratio-psi":
+        # The sweep's period is ratio * delta, so a zero width leaves no period.
+        _require(cfg.delta > 0, f"delta must be > 0 for kind=ratio-psi, got {cfg.delta}")
         _require(cfg.ratio_min >= 1.0, f"ratio_min must be >= 1, got {cfg.ratio_min}")
     if cfg.kind == "pq-check":
         _require(cfg.eta == 0.0, "pq-check needs a static environment; eta must be 0")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ddchain
-from ddchain.cli import _build_parser, main, sidecar_path
+from ddchain.cli import _build_parser, _write_outputs, main, sidecar_path
 from ddchain.config import KINDS, RunConfig, parse_config
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -33,6 +33,28 @@ def test_every_config_field_is_a_flag(kind):
         flag = "--" + field.name.replace("_", "-")
         namespace = parser.parse_args([kind, flag, "7"])
         assert getattr(namespace, field.name) == "7", flag
+
+
+def per_cell_csv(columns):
+    """The CSV text as the writer once built it, one formatted cell at a time."""
+    def cells(column):
+        fmt = str if np.issubdtype(column.dtype, np.integer) else "{:.16e}".format
+        return list(map(fmt, column.tolist()))
+    rows = [",".join(row) for row in zip(*map(cells, columns.values()))]
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+def test_csv_rows_match_per_cell_formatting(tmp_path):
+    floats = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324, -1.0 / 3, 0.1, 2.0 ** 60]
+    columns = {
+        "n": np.array([-7, 0, 2, 130, 2 ** 62, 1, 2, 3, 4, 5, 6]),
+        "x": np.array(floats),
+        "y": -np.array(floats[::-1]),
+    }
+    out = tmp_path / "w.csv"
+    cfg = parse_config(kind="size", overrides={"out": str(out)})
+    _write_outputs(cfg, columns, {"version": ddchain.__version__}, 0.0)
+    assert out.read_bytes() == per_cell_csv(columns).encode()
 
 
 def test_kernel_run_writes_csv_and_sidecar(tmp_path):
@@ -128,7 +150,7 @@ def test_pq_check_peak_memory_is_bounded(tmp_path):
     assert usage.ru_maxrss / 1024 < 150
 
 
-def test_delta_tau_emits_nan_sentinels(tmp_path):
+def test_delta_tau_emits_nan_sentinels(tmp_path, capsys):
     out = tmp_path / "dt.csv"
     assert run_cli(
         "delta-tau", "--n", "10", "--m", "4",
@@ -141,6 +163,12 @@ def test_delta_tau_emits_nan_sentinels(tmp_path):
     fids = [row[2] for row in rows]
     # delta=0.5 > tau=0.4, delta=1.5 > both taus.
     assert fids.count("nan") == 3
+    # The stdout line lists the sidecar's result keys but the version.
+    meta = Path(sidecar_path(str(out))).read_text(encoding="utf-8")
+    results = re.findall(r"^result\.(\w+=\S+)$", meta, re.MULTILINE)
+    assert results[0].startswith("version=") and results[1:3] == ["cells=4", "infeasible_cells=3"]
+    assert capsys.readouterr().out == (
+        f"delta-tau: wrote {out} and {out}.meta ({', '.join(results[1:])})\n")
 
 
 def test_size_csv_has_integer_sizes(tmp_path):
@@ -222,6 +250,13 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys):
     assert run_cli("trace", "--delta", "1.5", "--tau", "1.0", "--out", str(tmp_path / "x.csv")) == 2
     err = capsys.readouterr().err
     assert "delta" in err
+
+
+def test_ratio_psi_zero_delta_exits_2(tmp_path, capsys):
+    out = tmp_path / "rp.csv"
+    assert run_cli("ratio-psi", "--delta", "0", "--out", str(out)) == 2
+    assert "delta must be > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

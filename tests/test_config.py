@@ -171,6 +171,13 @@ def test_ratio_psi_requires_ratio_at_least_one(tmp_path):
         parse_config(path)
 
 
+def test_ratio_psi_requires_positive_delta():
+    # The sweep's period is ratio * delta; the other kinds accept a zero width.
+    with pytest.raises(ConfigError, match="delta must be > 0"):
+        parse_config(kind="ratio-psi", overrides={"delta": "0"})
+    assert parse_config(kind="size", overrides={"delta": "0"}).delta == 0.0
+
+
 def test_pq_check_rejects_period_noise():
     with pytest.raises(ConfigError, match="eta"):
         parse_config(kind="pq-check", overrides={"eta": "0.1"})

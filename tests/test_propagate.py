@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from ddchain.model import (
     TridiagonalHamiltonian,
     build_controlled_hamiltonian,
     build_free_hamiltonian,
+    sample_static_disorder,
     time_grid,
 )
 from ddchain.eigen import spectral_sum
+from ddchain import sweeps
 from ddchain.propagate import (
     _period_decompositions,
     evolve_interval,
@@ -368,3 +371,93 @@ def test_free_amplitude_trace_matches_semi_infinite_chain_closed_form():
     t = time_grid(0.01, 100.0)[1:]
     assert trace[0] == 1.0
     assert np.abs(trace[1:] - j1(2 * t) / t).max() <= 1e-12
+
+
+def dense_propagator(h, duration):
+    """exp(-i H duration) from NumPy's dense eigh, not ddchain.eigen."""
+    dense = np.diag(h.diagonal) + np.diag(h.off_diagonal, 1) + np.diag(h.off_diagonal, -1)
+    energies, vectors = np.linalg.eigh(dense)
+    return (vectors * np.exp(-1j * energies * duration)) @ vectors.T
+
+
+def test_free_first_period_gives_the_same_final_fidelity():
+    # H is real symmetric, so exp(-i H t) is complex symmetric and the
+    # free-first period U_p U_f is the transpose of the pulse-first U_f U_p:
+    # e0^T (U^T)^m e0 = e0^T U^m e0, so the order of the segments cannot
+    # change the qubit amplitude of a static chain.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(2, 12),
+        coupling=st.floats(-2.0, 2.0),
+        gamma=st.floats(0.0, 0.5),
+        epsilon=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**64 - 1),
+        psi=st.floats(-10.0, 10.0),
+        tau=st.floats(0.05, 2.0),
+        frac=st.floats(0.0, 1.0),
+        m=st.integers(1, 8),
+    )
+    def check(n, coupling, gamma, epsilon, seed, psi, tau, frac, m):
+        chain = ChainSpec(n, coupling, gamma, epsilon, seed=seed)
+        pulse = PulseSpec(psi, tau, frac * tau, m)
+        bonds, sites = sample_static_disorder(chain)
+        free_first = (
+            dense_propagator(build_controlled_hamiltonian(chain, pulse, bonds, sites), pulse.width)
+            @ dense_propagator(build_free_hamiltonian(chain, bonds, sites), tau - pulse.width))
+        expected = abs(np.linalg.matrix_power(free_first, m)[0, 0])
+        assert final_fidelity(chain, pulse) == pytest.approx(expected, abs=1e-12)
+
+    check()
+
+
+def test_negating_every_bond_leaves_every_modulus_unchanged(monkeypatch):
+    # D = diag(1, -1, 1, ...) takes H to D H D, which negates every bond and
+    # keeps the diagonal; D e0 = e0, so every qubit amplitude keeps its
+    # modulus. Static disorder and per-period noise are negated with J.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    static, noise = sample_static_disorder, propagate.sample_period_noise
+
+    def negated_static(chain):
+        bonds, sites = static(chain)
+        return -bonds, sites
+
+    pulse_st = st.builds(
+        lambda psi, tau, frac, m: PulseSpec(psi, tau, frac * tau, m),
+        st.floats(-10.0, 10.0), st.floats(0.05, 2.0), st.floats(0.0, 1.0), st.integers(1, 6),
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(2, 12),
+        coupling=st.floats(-2.0, 2.0),
+        gamma=st.floats(0.0, 0.5),
+        epsilon=st.floats(0.0, 0.5),
+        eta=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**64 - 1),
+        pulses=st.lists(pulse_st, min_size=1, max_size=6),
+    )
+    def check(n, coupling, gamma, epsilon, eta, seed, pulses):
+        chain = ChainSpec(n, coupling, gamma, epsilon, eta, seed)
+        static_chain = replace(chain, per_period_noise=0.0)
+        pulse = pulses[0]
+        dt = pulse.period / 7
+        t_max = pulse.periods * pulse.period
+        fids = final_fidelities(chain, pulses)
+        trace = np.abs(site_amplitude_trace(chain, pulse, dt, t_max))
+        p_abs = sweeps.pq_check(static_chain, pulse, dt, t_max).p_abs
+        with monkeypatch.context() as patch:
+            for module in (propagate, sweeps):
+                patch.setattr(module, "sample_static_disorder", negated_static)
+            patch.setattr(propagate, "sample_period_noise", lambda c, k: -noise(c, k))
+            flipped = replace(chain, coupling=-coupling)
+            assert np.abs(final_fidelities(flipped, pulses) - fids).max() <= 1e-12
+            flipped_trace = site_amplitude_trace(flipped, pulse, dt, t_max)
+            assert np.abs(np.abs(flipped_trace) - trace).max() <= 1e-12
+            flipped_p = sweeps.pq_check(replace(flipped, per_period_noise=0.0), pulse, dt, t_max)
+            assert np.abs(flipped_p.p_abs - p_abs).max() <= 1e-12
+
+    check()

@@ -1,10 +1,12 @@
-"""The README's library section stays true: its example runs, and its
-export list is the package's public API."""
+"""The README stays true: its library example runs, its export list is
+the package's public API, and its config key list is the schema's."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import ddchain
+from ddchain.config import RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,9 @@ def test_readme_library_example_runs():
 def test_readme_export_list_is_all():
     bullets = library_section().split("exports exactly:", 1)[1].strip().split("\n\n", 1)[0]
     assert re.findall(r"`([^`]+)`", bullets) == ddchain.__all__
+
+
+def test_readme_key_list_is_the_schema():
+    text = README.read_text(encoding="utf-8")
+    (keys,) = re.findall(r"Keys:\n`([^`]+)`", text)
+    assert keys.split() == [field.name for field in dataclasses.fields(RunConfig)]
