@@ -23,9 +23,10 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .config import KINDS, RESULT_PREFIX, ConfigError, RunConfig, config_to_lines, parse_config
+from .config import (KINDS, RESULT_PREFIX, SINGLE_PULSE_KINDS, ConfigError, RunConfig,
+                     config_to_lines, parse_config)
 from .errors import DdchainError
-from .model import ChainSpec, PulseSpec, time_grid
+from .model import ChainSpec, PulseSpec
 from .sweeps import (
     SweepResult,
     kernel_study,
@@ -79,6 +80,8 @@ def run(cfg: RunConfig) -> str:
     results: dict[str, str] = {"version": __version__}
     chain = ChainSpec(n_sites=cfg.n, coupling=cfg.j, static_coupling_disorder=cfg.gamma,
                       band_broadening=cfg.epsilon, per_period_noise=cfg.eta, seed=cfg.seed)
+    if cfg.kind in SINGLE_PULSE_KINDS:  # the kinds whose delta <= tau config checks
+        pulse = PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
 
     if cfg.kind == "delta-tau":
         sweep = sweep_delta_tau(
@@ -86,31 +89,28 @@ def run(cfg: RunConfig) -> str:
             np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
             np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
         )
-        columns = _grid_columns(sweep, results)
+        columns = _grid_columns(("delta", "tau"), sweep, results)
     elif cfg.kind == "ratio-psi":
         sweep = sweep_ratio_psi(
             chain, cfg.delta, cfg.m,
             np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps),
             np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
         )
-        columns = _grid_columns(sweep, results)
+        columns = _grid_columns(("ratio", "psi"), sweep, results)
     elif cfg.kind == "size":
-        table = sweep_size(chain, cfg.psi, cfg.delta, cfg.tau, cfg.m, cfg.n_values)
+        table = sweep_size(chain, pulse, cfg.n_values)
         columns = {"n": table.n_values, "fidelity_free": table.free,
                    "fidelity_controlled": table.controlled}
     elif cfg.kind == "trace":
-        traces = trace_variants(chain, cfg.psi, cfg.delta, cfg.tau, cfg.m,
-                                record_every=cfg.record_every)
+        traces = trace_variants(chain, pulse, record_every=cfg.record_every)
         columns = {"t": traces.times, "f_free": traces.free, "f_const": traces.constant,
                    "f_broadening": traces.broadening, "f_static_random": traces.static_random,
                    "f_period_noise": traces.period_noise}
     elif cfg.kind == "kernel":
         trace = kernel_study(chain, cfg.dt, cfg.t_max, cfg.threshold, cfg.hold)
-        columns = {"t": time_grid(trace.dt, cfg.t_max), "re_g": trace.samples.real,
-                   "im_g": trace.samples.imag}
+        columns = {"t": trace.times, "re_g": trace.samples.real, "im_g": trace.samples.imag}
         results["lifetime"] = repr(float("nan") if trace.lifetime is None else trace.lifetime)
     elif cfg.kind == "pq-check":
-        pulse = PulseSpec(cfg.psi, cfg.tau, cfg.delta, cfg.m)
         comparison = pq_check(chain, pulse, cfg.dt, cfg.m * cfg.tau)
         columns = {"t": comparison.times, "abs_p": comparison.p_abs,
                    "fidelity_direct": comparison.direct, "abs_error": comparison.abs_error}
@@ -123,11 +123,11 @@ def run(cfg: RunConfig) -> str:
     return f"{cfg.kind}: wrote {cfg.out} and {sidecar_path(cfg.out)} ({summary})"
 
 
-def _grid_columns(sweep: SweepResult, results: dict[str, str]):
-    """CSV columns (axis2 varying fastest) of a 2-D sweep; records its cell counts."""
-    grid = sweep.grid
-    columns = {grid.axis1_name: np.repeat(grid.axis1, len(grid.axis2)),
-               grid.axis2_name: np.tile(grid.axis2, len(grid.axis1)),
+def _grid_columns(names: tuple[str, str], sweep: SweepResult, results: dict[str, str]):
+    """CSV columns (axis2 varying fastest) of a 2-D sweep, headed by the two
+    axis ``names`` and ``fidelity``; records its cell counts."""
+    columns = {names[0]: np.repeat(sweep.axis1, len(sweep.axis2)),
+               names[1]: np.tile(sweep.axis2, len(sweep.axis1)),
                "fidelity": sweep.fidelities.ravel()}
     results["cells"] = str(sweep.fidelities.size)
     results["infeasible_cells"] = str(int(np.isnan(sweep.fidelities).sum()))

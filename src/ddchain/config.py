@@ -96,7 +96,7 @@ _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "float")
 
 # Kinds that consume the single (delta, tau) pair and so must satisfy
 # delta <= tau up front.
-_SINGLE_PULSE_KINDS = ("size", "trace", "pq-check")
+SINGLE_PULSE_KINDS = ("size", "trace", "pq-check")
 
 
 def read_key_value_file(path: str) -> dict[str, str]:
@@ -182,7 +182,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(cfg.t_max > 0, f"t_max must be > 0, got {cfg.t_max}")
     _require(0 < cfg.threshold < 1, f"threshold must be in (0, 1), got {cfg.threshold}")
 
-    if cfg.kind in _SINGLE_PULSE_KINDS:
+    if cfg.kind in SINGLE_PULSE_KINDS:
         _require(
             cfg.delta <= cfg.tau,
             f"delta must be <= tau for kind={cfg.kind}, got delta={cfg.delta}, tau={cfg.tau}",

@@ -40,10 +40,10 @@ _LEAF = 64
 @dataclass(frozen=True)
 class KernelTrace:
     """Result of the kernel study: the memory kernel sampled on a uniform
-    grid, samples[j] = g(j * dt), plus the estimated decay lifetime (None
+    grid, samples[j] = g(times[j]), plus the estimated decay lifetime (None
     if the trace has no sustained-decay window)."""
 
-    dt: float
+    times: np.ndarray
     samples: np.ndarray
     lifetime: float | None
 
@@ -77,9 +77,10 @@ def correlation_kernel(
     """Sample the environment correlation function on 0, dt, ..., ~t_max
     and estimate its decay lifetime (stored as None when the trace is
     too short to certify one)."""
-    samples = kernel_values(env, coupling, time_grid(dt, t_max))
+    times = time_grid(dt, t_max)
+    samples = kernel_values(env, coupling, times)
     samples.flags.writeable = False
-    return KernelTrace(dt, samples, estimate_lifetime(samples, dt, threshold, hold))
+    return KernelTrace(times, samples, estimate_lifetime(samples, dt, threshold, hold))
 
 
 def estimate_lifetime(
@@ -93,13 +94,17 @@ def estimate_lifetime(
     The criterion is one-sided: once the real part has fallen to the
     threshold it may oscillate below (including sign changes) without
     resetting the decay time. Returns None when no such window of length
-    ``hold`` fits inside the samples.
+    ``hold`` fits inside the samples, or when g(0) <= 0 (a kernel that
+    does not start positive has no decay to time).
     """
     if not (0 < threshold < 1):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if hold < dt:
         raise ValueError(f"hold must be >= dt={dt}, got {hold}")
-    below = samples.real <= threshold * float(samples[0].real)
+    g0 = float(samples[0].real)
+    if g0 <= 0:
+        return None
+    below = samples.real <= threshold * g0
     window = math.ceil(hold / dt - 1e-9) + 1
     # Window of `window` consecutive True values via a cumulative sum; a
     # window longer than the samples leaves both slices empty.

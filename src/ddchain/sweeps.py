@@ -31,26 +31,9 @@ INFEASIBLE = float("nan")
 
 
 @dataclass(frozen=True)
-class SweepGrid:
-    """The two swept axes of a 2-D sweep."""
-
-    axis1_name: str
-    axis1: np.ndarray
-    axis2_name: str
-    axis2: np.ndarray
-
-    def __post_init__(self):
-        for name, values in ((self.axis1_name, self.axis1), (self.axis2_name, self.axis2)):
-            v = np.asarray(values, dtype=float)
-            if v.ndim != 1 or len(v) == 0:
-                raise ValueError(f"axis {name!r} must be a nonempty vector")
-            if len(v) > 1 and not np.all(np.diff(v) > 0):
-                raise ValueError(f"axis {name!r} must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    grid: SweepGrid
+    axis1: np.ndarray
+    axis2: np.ndarray
     fidelities: np.ndarray  # shape (len(axis1), len(axis2)), NaN = infeasible
 
 
@@ -81,52 +64,53 @@ class PqComparison:
     abs_error: np.ndarray
 
 
-def _sweep_grid(grid: SweepGrid, chain: ChainSpec, pulse_at) -> SweepResult:
-    """Final fidelity at every (axis1, axis2) cell of ``grid``. ``pulse_at(x, y)``
-    gives the cell's pulse, or None for an infeasible cell (a NaN sentinel)."""
-    table = np.full((len(grid.axis1), len(grid.axis2)), INFEASIBLE)
-    cells = {(a, b): pulse for a, x in enumerate(grid.axis1) for b, y in enumerate(grid.axis2)
+def _sweep_grid(chain: ChainSpec, axis1, axis2, pulse_at) -> SweepResult:
+    """Final fidelity at every (axis1, axis2) cell. ``pulse_at(x, y)`` gives
+    the cell's pulse, or None for an infeasible cell (a NaN sentinel)."""
+    axes = [np.asarray(values, dtype=float) for values in (axis1, axis2)]
+    for which, v in zip(("first", "second"), axes):
+        if v.ndim != 1 or len(v) == 0:
+            raise ValueError(f"the {which} axis must be a nonempty vector")
+        if len(v) > 1 and not np.all(np.diff(v) > 0):
+            raise ValueError(f"the {which} axis must be strictly increasing")
+    table = np.full((len(axes[0]), len(axes[1])), INFEASIBLE)
+    cells = {(a, b): pulse for a, x in enumerate(axes[0]) for b, y in enumerate(axes[1])
              if (pulse := pulse_at(x, y)) is not None}
     for slot, value in zip(cells, final_fidelities(chain, list(cells.values()))):
         table[slot] = value
-    return SweepResult(grid, table)
+    return SweepResult(*axes, table)
 
 
 def sweep_delta_tau(chain: ChainSpec, psi: float, m: int, delta_values, tau_values) -> SweepResult:
     """Final fidelity over a (width, period) grid at fixed strength."""
-    grid = SweepGrid("delta", np.asarray(delta_values, dtype=float),
-                     "tau", np.asarray(tau_values, dtype=float))
-    return _sweep_grid(
-        grid, chain, lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m)
-    )
+    return _sweep_grid(chain, delta_values, tau_values,
+                       lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m))
 
 
 def sweep_ratio_psi(chain: ChainSpec, delta: float, m: int, ratio_values,
                     psi_values) -> SweepResult:
     """Final fidelity over (period/width ratio, strength) at fixed width."""
-    ratio_values = np.asarray(ratio_values, dtype=float)
-    if np.any(ratio_values < 1.0):
+    if np.any(np.asarray(ratio_values, dtype=float) < 1.0):
         raise ValueError("ratios must be >= 1 so the width fits in the period")
-    grid = SweepGrid("ratio", ratio_values, "psi", np.asarray(psi_values, dtype=float))
-    return _sweep_grid(grid, chain, lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m))
+    return _sweep_grid(chain, ratio_values, psi_values,
+                       lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m))
 
 
-def sweep_size(chain: ChainSpec, psi: float, delta: float, tau: float, m: int,
-               n_values) -> SizeSweep:
+def sweep_size(chain: ChainSpec, pulse: PulseSpec, n_values) -> SizeSweep:
     """Free and controlled final fidelity of ``chain`` resized to each of
-    ``n_values``; ``chain.n_sites`` is not used."""
+    ``n_values``; ``chain.n_sites`` is not used. The free run is ``pulse``
+    at zero strength."""
     n_values = np.asarray(n_values, dtype=int)
-    pulses = [PulseSpec(0.0, tau, delta, m), PulseSpec(psi, tau, delta, m)]
+    pulses = [replace(pulse, strength=0.0), pulse]
     pairs = np.array([final_fidelities(replace(chain, n_sites=int(n)), pulses)
                       for n in n_values]).reshape(len(n_values), 2)
     return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 
 
-def trace_variants(chain: ChainSpec, psi: float, delta: float, tau: float, m: int,
-                   record_every: int = 1) -> VariantTraces:
-    """Fidelity time series for free evolution and the four controlled
-    variants: clean chain, site-energy broadening, static bond disorder,
-    per-period bond noise.
+def trace_variants(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> VariantTraces:
+    """Fidelity time series for free evolution (``pulse`` at zero strength)
+    and the four controlled variants under ``pulse``: clean chain,
+    site-energy broadening, static bond disorder, per-period bond noise.
 
     The free and clean runs zero ``chain``'s three disorder amplitudes;
     each disordered variant switches one of them back on. All variants
@@ -135,15 +119,14 @@ def trace_variants(chain: ChainSpec, psi: float, delta: float, tau: float, m: in
     """
     clean = replace(chain, static_coupling_disorder=0.0, band_broadening=0.0,
                     per_period_noise=0.0)
-    pulse_ctrl = PulseSpec(psi, tau, delta, m)
     runs = [
-        (PulseSpec(0.0, tau, delta, m), clean),
-        (pulse_ctrl, clean),
-        (pulse_ctrl, replace(clean, band_broadening=chain.band_broadening)),
-        (pulse_ctrl, replace(clean, static_coupling_disorder=chain.static_coupling_disorder)),
-        (pulse_ctrl, replace(clean, per_period_noise=chain.per_period_noise)),
+        (replace(pulse, strength=0.0), clean),
+        (pulse, clean),
+        (pulse, replace(clean, band_broadening=chain.band_broadening)),
+        (pulse, replace(clean, static_coupling_disorder=chain.static_coupling_disorder)),
+        (pulse, replace(clean, per_period_noise=chain.per_period_noise)),
     ]
-    records = [run_protocol(c, pulse, record_every=record_every) for pulse, c in runs]
+    records = [run_protocol(c, train, record_every=record_every) for train, c in runs]
     return VariantTraces(records[0].times, *(r.fidelities for r in records))
 
 

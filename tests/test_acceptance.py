@@ -18,6 +18,7 @@ from ddchain.sweeps import (
 )
 
 PSI, DELTA, TAU, M = 8.0, 1.2, 1.3, 128
+PULSE = PulseSpec(PSI, TAU, DELTA, M)
 
 
 def check(name, condition, detail):
@@ -27,7 +28,7 @@ def check(name, condition, detail):
 
 def test_criterion_1_size_independent_controlled_fidelity():
     sizes = [50, 70, 90, 110, 130]
-    table = sweep_size(ChainSpec(n_sites=130), PSI, DELTA, TAU, M, sizes)
+    table = sweep_size(ChainSpec(n_sites=130), PULSE, sizes)
     deviation = np.abs(table.controlled - 0.98).max()
     spread = table.controlled.std()
     check(
@@ -124,7 +125,7 @@ def test_criterion_7_disorder_robustness_of_controlled_traces():
     traces = trace_variants(
         ChainSpec(n_sites=130, static_coupling_disorder=0.5, band_broadening=0.5,
                   per_period_noise=0.1, seed=1),
-        PSI, DELTA, TAU, M,
+        PULSE,
     )
     dev_broadening = np.abs(traces.broadening - traces.constant).max()
     dev_static = np.abs(traces.static_random - traces.constant).max()

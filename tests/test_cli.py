@@ -78,6 +78,16 @@ def test_kernel_run_writes_csv_and_sidecar(tmp_path):
     assert again.read_bytes() == short.read_bytes()
 
 
+def test_zero_kernel_has_no_lifetime(tmp_path):
+    # At J = 0 the kernel is zero everywhere: nothing decays, so no lifetime.
+    out = tmp_path / "k0.csv"
+    assert run_cli("kernel", "--j", "0", "--n", "10", "--out", str(out)) == 0
+    _, rows = read_rows(out)
+    assert {float(cell) for row in rows for cell in row[1:]} == {0.0}
+    meta = Path(sidecar_path(str(out))).read_text(encoding="utf-8")
+    assert re.search(r"^result\.lifetime=nan$", meta, re.MULTILINE)
+
+
 def test_sidecar_reruns_to_identical_csv(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -131,23 +141,32 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
         assert outputs[0] == outputs[1], args[0]
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+# Runs the CLI in-process, then prints this process's own peak RSS (kB) last.
+PEAK_RSS_CHILD = """
+import sys
+from ddchain.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_pq_check_peak_memory_is_bounded(tmp_path):
     # Whole (time steps x N) exponential blocks would take this run to about
-    # 220 MB; sampling in blocks of fixed size keeps it near 80 MB. The
-    # child's ru_maxrss also counts this process's size at the spawn, which
-    # stays below 100 MB over the whole suite.
+    # 220 MB; sampling in blocks of fixed size keeps it near 80 MB. The child
+    # reports its own VmHWM: a child's ru_maxrss starts at its parent's RSS,
+    # so it would read this test process's peak instead.
     src = str(Path(ddchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "ddchain", "pq-check", "--m", "32",
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "pq-check", "--m", "32",
          "--out", str(tmp_path / "pq.csv")],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=env, capture_output=True, text=True, check=True,
     )
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    assert child.returncode == 0
-    assert usage.ru_maxrss / 1024 < 150
+    peak_kb = int(child.stdout.split()[-1])
+    assert peak_kb / 1024 < 150
 
 
 def test_delta_tau_emits_nan_sentinels(tmp_path, capsys):

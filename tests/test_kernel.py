@@ -72,8 +72,8 @@ def test_two_site_environment_is_cosine():
     # Eigenvalues of the 2-site block are +-J with equal edge weights,
     # so g(t) = J^2 cos(J t)... with J=1: cos(t).
     trace = correlation_kernel(free_env(2), 1.0, 0.01, 8.0)
-    t = np.arange(len(trace.samples)) * trace.dt
-    assert np.abs(trace.samples.real - np.cos(t)).max() <= 1e-12
+    np.testing.assert_array_equal(trace.times, np.arange(801) * 0.01)
+    assert np.abs(trace.samples.real - np.cos(trace.times)).max() <= 1e-12
     assert np.abs(trace.samples.imag).max() <= 1e-12
 
 
@@ -104,17 +104,29 @@ def test_lifetime_not_found_for_constant_kernel():
 
 
 def test_lifetime_needs_room_for_hold_window():
-    samples = np.zeros(3, dtype=complex)
+    samples = np.array([1, 0, 0], dtype=complex)
     assert estimate_lifetime(samples, 0.1, 0.02, 0.5) is None
     with pytest.raises(ValueError):
         estimate_lifetime(samples, 0.1, 1.5, 0.2)
 
 
-@pytest.mark.parametrize("extra, expected", [(-1, None), (0, 0.0), (1, 0.0)])
+@pytest.mark.parametrize("extra, expected", [(-1, None), (0, 0.1), (1, 0.1)])
 def test_lifetime_window_at_the_trace_length(extra, expected):
-    # hold = 0.5 at dt = 0.1 needs a window of 6 samples; a decayed trace
-    # one sample shorter has none, and one of 6 or 7 decays at t = 0.
-    assert estimate_lifetime(np.zeros(6 + extra, dtype=complex), 0.1, 0.02, 0.5) == expected
+    # hold = 0.5 at dt = 0.1 needs a window of 6 samples. A trace [1, 0, 0, ...]
+    # of 7 + extra samples has 6 + extra decayed ones from t = dt: one short of
+    # a window at 6 samples, a window from t = dt at 7 or 8. A window of 5
+    # would find one at 6 samples too.
+    samples = np.zeros(7 + extra, dtype=complex)
+    samples[0] = 1.0
+    assert estimate_lifetime(samples, 0.1, 0.02, 0.5) == expected
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0])
+def test_lifetime_needs_a_positive_zero_delay_value(start):
+    # Re g <= threshold * g(0) holds trivially from t = 0 when g(0) <= 0, so
+    # such a trace has no decay to time: a zero kernel (J = 0) or a negative one.
+    t = np.arange(0, 6.0, 0.01)
+    assert estimate_lifetime(start * np.exp(-t).astype(complex), 0.01, 0.02, 0.5) is None
 
 
 def test_long_chain_kernel_decay_time():

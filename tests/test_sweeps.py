@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from ddchain.model import ChainSpec
-from ddchain.sweeps import (
-    SweepGrid,
-    sweep_delta_tau,
-    sweep_ratio_psi,
-    sweep_size,
-    trace_variants,
-)
+from ddchain.model import ChainSpec, PulseSpec
+from ddchain.sweeps import sweep_delta_tau, sweep_ratio_psi, sweep_size, trace_variants
 
 
 def test_infeasible_cells_are_nan_sentinels():
@@ -25,11 +19,19 @@ def test_infeasible_cells_are_nan_sentinels():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid("a", np.array([1.0, 0.5]), "b", np.array([1.0]))
-    with pytest.raises(ValueError):
-        SweepGrid("a", np.array([]), "b", np.array([1.0]))
-    with pytest.raises(ValueError):
+    cases = [
+        ([1.0, 0.5], [1.0], "first axis must be strictly increasing"),
+        ([], [1.0], "first axis must be a nonempty vector"),
+        ([0.5], [0.5, 1.0, 1.0], "second axis must be strictly increasing"),
+        ([0.5], [], "second axis must be a nonempty vector"),
+        # NaN compares false both ways, so only "every step > 0" rejects it.
+        ([0.2, np.nan], [1.0], "first axis must be strictly increasing"),
+        ([0.5], [np.nan, 1.0], "second axis must be strictly increasing"),
+    ]
+    for deltas, taus, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sweep_delta_tau(ChainSpec(n_sites=6), 4.0, 2, deltas, taus)
+    with pytest.raises(ValueError, match="ratios must be >= 1"):
         sweep_ratio_psi(ChainSpec(n_sites=6), 0.5, 2, [0.8, 1.2], [1.0])
 
 
@@ -42,7 +44,7 @@ def test_sweep_is_deterministic_across_calls():
 
 
 def test_size_sweep_degenerate_chain():
-    table = sweep_size(ChainSpec(n_sites=2, coupling=0.0), 8.0, 0.5, 1.0, 4, [2, 3])
+    table = sweep_size(ChainSpec(n_sites=2, coupling=0.0), PulseSpec(8.0, 1.0, 0.5, 4), [2, 3])
     assert np.allclose(table.free, 1.0, atol=1e-12)
     assert np.allclose(table.controlled, 1.0, atol=1e-12)
 
@@ -51,7 +53,7 @@ def test_size_sweep_free_oscillates_controlled_flat():
     # Free evolution zigzags strongly with chain size (decreasing with n);
     # the controlled protocol is flat near one across all sizes.
     n_values = np.arange(20, 61)
-    table = sweep_size(ChainSpec(n_sites=20), 8.0, 1.2, 1.3, 128, n_values)
+    table = sweep_size(ChainSpec(n_sites=20), PulseSpec(8.0, 1.3, 1.2, 128), n_values)
     free_steps = np.abs(np.diff(table.free))
     assert free_steps.mean() >= 0.03
     assert free_steps[:20].mean() > free_steps[20:].mean()
@@ -60,7 +62,7 @@ def test_size_sweep_free_oscillates_controlled_flat():
 
 
 def test_trace_variants_collapse_without_disorder():
-    traces = trace_variants(ChainSpec(n_sites=12, seed=2), 6.0, 0.8, 1.0, 6)
+    traces = trace_variants(ChainSpec(n_sites=12, seed=2), PulseSpec(6.0, 1.0, 0.8, 6))
     np.testing.assert_array_equal(traces.constant, traces.broadening)
     np.testing.assert_array_equal(traces.constant, traces.static_random)
     np.testing.assert_array_equal(traces.constant, traces.period_noise)
@@ -72,7 +74,7 @@ def test_trace_variants_disordered_runs_differ():
     # The trace kind's default amplitudes.
     chain = ChainSpec(n_sites=12, static_coupling_disorder=0.5, band_broadening=0.5,
                       per_period_noise=0.1, seed=2)
-    traces = trace_variants(chain, 6.0, 0.8, 1.0, 6)
+    traces = trace_variants(chain, PulseSpec(6.0, 1.0, 0.8, 6))
     assert not np.array_equal(traces.constant, traces.broadening)
     assert not np.array_equal(traces.constant, traces.static_random)
     assert not np.array_equal(traces.constant, traces.period_noise)
