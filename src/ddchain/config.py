@@ -196,6 +196,9 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.kind == "kernel":
         _require(cfg.hold >= cfg.dt, f"hold must be >= dt, got {cfg.hold}")
+    if cfg.kind == "delta-tau":  # every (delta, tau) cell must be a pulse train
+        _require(cfg.delta_min >= 0, f"delta_min must be >= 0, got {cfg.delta_min}")
+        _require(cfg.tau_min > 0, f"tau_min must be > 0, got {cfg.tau_min}")
     if cfg.kind == "ratio-psi":
         # The sweep's period is ratio * delta, so a zero width leaves no period.
         _require(cfg.delta > 0, f"delta must be > 0 for kind=ratio-psi, got {cfg.delta}")

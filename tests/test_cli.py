@@ -141,6 +141,38 @@ def test_blas_thread_count_does_not_change_csv(tmp_path):
         assert outputs[0] == outputs[1], args[0]
 
 
+def test_blas_thread_count_does_not_change_chebyshev_trace_column(tmp_path):
+    # At N = 500 dstevd's threaded merge changes the eigenvector bits of the
+    # spectral variants with the thread count; the per-period noise variant
+    # steps by tridiagonal matvecs only, so its column must not move.
+    src = str(Path(ddchain.__file__).resolve().parents[1])
+    columns = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace-threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "ddchain", "trace", "--m", "4", "--n", "500", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        header, rows = read_rows(out)
+        columns.append([row[header.index("f_period_noise")] for row in rows])
+    assert len(columns[0]) == 5
+    assert columns[0] == columns[1]
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special would add about 50 ms to every run's start-up; the
+    # Chebyshev step computes its Bessel coefficients in NumPy instead.
+    src = str(Path(ddchain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, ddchain.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
 # Runs the CLI in-process, then prints this process's own peak RSS (kB) last.
 PEAK_RSS_CHILD = """
 import sys
@@ -275,6 +307,19 @@ def test_ratio_psi_zero_delta_exits_2(tmp_path, capsys):
     out = tmp_path / "rp.csv"
     assert run_cli("ratio-psi", "--delta", "0", "--out", str(out)) == 2
     assert "delta must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta-min", "-0.5"], "delta_min must be >= 0"),
+    (["--delta-min", "0", "--tau-min", "0"], "tau_min must be > 0"),
+    (["--tau-min", "-1"], "tau_min must be > 0"),
+])
+def test_delta_tau_axes_that_are_not_pulse_trains_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "dt.csv"
+    assert run_cli("delta-tau", *flags, "--delta-steps", "3", "--tau-steps", "3",
+                   "--m", "2", "--n", "4", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

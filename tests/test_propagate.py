@@ -244,10 +244,15 @@ def test_batched_cells_are_bit_equal_to_cells_run_alone():
 
 
 def test_final_fidelity_is_last_recorded_fidelity():
-    chain = ChainSpec(n_sites=20, per_period_noise=0.1, seed=4)
+    # A static chain runs both on the spectral route: the same bits.
+    chain = ChainSpec(n_sites=20, static_coupling_disorder=0.3, band_broadening=0.4, seed=4)
     pulse = PulseSpec(6.0, 1.1, 0.7, 9)
     assert final_fidelity(chain, pulse) == run_protocol(chain, pulse).fidelities[-1]
     assert len(final_fidelities(chain, [])) == 0
+    # Per-period noise sends run_protocol down the Chebyshev route: rounding apart.
+    noisy = replace(chain, per_period_noise=0.1)
+    assert final_fidelity(noisy, pulse) == pytest.approx(
+        run_protocol(noisy, pulse).fidelities[-1], abs=1e-12)
 
 
 def test_norm_drift_raises_numerical_error(monkeypatch):
@@ -263,6 +268,85 @@ def test_norm_drift_raises_numerical_error(monkeypatch):
         run_protocol(ChainSpec(n_sites=8), PulseSpec(5.0, 1.0, 0.5, 3))
     with pytest.raises(NumericalError, match="norm"):
         site_amplitude_trace(ChainSpec(n_sites=8), PulseSpec(5.0, 1.0, 0.5, 3), 0.1, 3.0)
+
+
+def test_chebyshev_norm_drift_raises_numerical_error(monkeypatch):
+    real_step, calls = propagate._chebyshev_step, itertools.count()
+
+    def one_scaled(h, state, duration):  # the third segment's output only
+        return (1.001 if next(calls) == 2 else 1.0) * real_step(h, state, duration)
+
+    monkeypatch.setattr(propagate, "_chebyshev_step", one_scaled)
+    with pytest.raises(NumericalError, match="norm drifted by .* over 3 periods"):
+        run_protocol(ChainSpec(n_sites=8, per_period_noise=0.1), PulseSpec(5.0, 1.0, 0.5, 3))
+
+
+def test_chebyshev_step_matches_spectral_step():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(2, 40),
+        coupling=st.floats(-2.0, 2.0),
+        gamma=st.floats(0.0, 0.5),
+        epsilon=st.floats(0.0, 0.5),
+        eta=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**64 - 1),
+        psi=st.floats(-20.0, 20.0),
+        duration=st.floats(0.0, 20.0),
+    )
+    def check(n, coupling, gamma, epsilon, eta, seed, psi, duration):
+        chain = ChainSpec(n, coupling, gamma, epsilon, eta, seed)
+        hams = propagate._period_hamiltonians(chain, PulseSpec(psi, 1.0, 0.5, 1))
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=n) + 1j * rng.normal(size=n)
+        state /= np.linalg.norm(state)
+        for h in next(hams):
+            expected = evolve_interval(state, decompose(h), duration)
+            assert np.abs(propagate._chebyshev_step(h, state, duration) - expected).max() <= 1e-12
+
+    check()
+
+
+def test_chebyshev_zero_duration_is_an_exact_copy():
+    chain = ChainSpec(n_sites=7, band_broadening=0.3)
+    h = build_controlled_hamiltonian(chain, PulseSpec(4.0, 1.0, 1.0, 1))
+    state = np.linspace(0.1, 0.7, 7) * (1 - 2j)
+    out = propagate._chebyshev_step(h, state, 0.0)
+    assert np.array_equal(out, state) and out is not state
+
+
+def test_bessel_series_matches_scipy():
+    from scipy.special import jv
+
+    for x in np.geomspace(1e-12, 200.0, 60):
+        series = propagate._bessel_series(x)
+        expected = jv(np.arange(len(series)), x)
+        # scipy's own jv is good to a few 1e-15 at x ~ 100-200.
+        assert np.all(np.abs(series - expected) <= 1e-14 + 1e-12 * np.abs(expected)), x
+        # Truncation: K is the first integer above x where (x/2)^K / K! < 1e-17.
+        k = len(series)
+        assert k > x
+        assert k * math.log(x / 2) - math.lgamma(k + 1) < math.log(1e-17)
+        assert k - 1 <= x or (k - 1) * math.log(x / 2) - math.lgamma(k) >= math.log(1e-17)
+    # Past x = 200, where scipy's jv is good only to a few 1e-14 and the
+    # recurrence must rescale, check the Jacobi-Anger sums cos x and sin x
+    # and the Neumann sum of squares instead.
+    for x in (1e3, 3e3, 1e4):
+        j = propagate._bessel_series(x)
+        weights = np.where(np.arange(len(j)) == 0, 1.0, 2.0)
+        signs = np.array([1.0, 1.0, -1.0, -1.0])[np.arange(len(j)) % 4]
+        assert abs((weights * signs * j)[0::2].sum() - math.cos(x)) <= 1e-13, x
+        assert abs((weights * signs * j)[1::2].sum() - math.sin(x)) <= 1e-13, x
+        assert abs((weights * j * j).sum() - 1) <= 1e-13, x
+
+
+def test_noisy_protocol_matches_oracle_at_paper_scale():
+    chain = ChainSpec(n_sites=130, per_period_noise=0.1)
+    pulse = PulseSpec(8.0, 1.3, 1.2, 128)
+    value = run_protocol(chain, pulse).fidelities[-1]
+    assert value == pytest.approx(oracle_final_fidelity(chain, pulse), abs=1e-12)
 
 
 def test_batched_matches_oracle_on_random_chains():
