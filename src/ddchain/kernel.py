@@ -30,7 +30,7 @@ import scipy.linalg.lapack
 
 from .eigen import decompose, spectral_sum
 from .errors import NumericalError
-from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, control_value, time_grid
+from .model import PulseSpec, TridiagonalHamiltonian, check_within_train, time_grid
 
 
 # Volterra steps solved directly per block; longer spans get their history by FFT.
@@ -124,10 +124,10 @@ def solve_p_equation(
     returns the read-only array p[j] = P(j * dt).
 
     h(t) is ``drive_offset`` plus the rectangular pulse train (just the
-    offset for a zero-strength train), evaluated at step midpoints so
-    pulse edges falling between grid points are never sampled exactly on
-    the discontinuity. ``g`` is the kernel on the solver's own grid,
-    g[j] = g(j * dt); samples past the n + 1 grid times are ignored.
+    offset for a zero-strength train), averaged exactly over each step,
+    so a pulse edge inside a step costs no order. ``g`` is the kernel on
+    the solver's own grid, g[j] = g(j * dt); samples past the n + 1 grid
+    times are ignored.
 
     Scheme: the trapezoid rule on the uniform grid 0, dt, ..., n * dt
     with n = round(t_max / dt), both for the step and for the memory
@@ -145,7 +145,8 @@ def solve_p_equation(
     |P| exceeds 1.05, the step-size instability guard (the exact
     solution has |P| <= 1).
     """
-    n = len(time_grid(dt, t_max)) - 1
+    t = time_grid(dt, t_max)
+    n = len(t) - 1
     check_within_train(control, t_max)
     if len(g) < n + 1:
         raise ValueError(f"kernel samples too short: {len(g)} for {n + 1} grid times")
@@ -162,12 +163,12 @@ def solve_p_equation(
     rhs = -0.5 * q
     rhs[1:2] = half * half * (g[0] + g[1:2])
     # Row k has 1 + c[k - 1] on its diagonal and c[k - 1] - 1 + half * dt * g[1]
-    # on its sub-diagonal, c = half * (i h + half * g[0]) with h at the step
-    # midpoint (k - 0.5) * dt.
-    c = np.full(n, drive_offset, dtype=complex)
-    c += control_value(control, (np.arange(n) + 0.5) * dt)
-    c *= 1j * half
-    c += half * half * g[0]
+    # on its sub-diagonal, c = half * (i h + half * g[0]) with h the mean drive over
+    # step k from the on-time so far, on(t): continuous, so a misrounded floor is harmless.
+    cycles = np.floor(t / control.period)
+    on = control.width * cycles + np.minimum(t - control.period * cycles, control.width)
+    h = drive_offset + control.strength * np.diff(on) / dt
+    c = 1j * half * h + half * half * g[0]
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
     rows = np.arange(min(_LEAF, n))

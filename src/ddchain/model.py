@@ -196,22 +196,6 @@ def environment_block(h: TridiagonalHamiltonian) -> TridiagonalHamiltonian:
     return TridiagonalHamiltonian(h.diagonal[1:], h.off_diagonal[1:])
 
 
-def control_value(pulse: PulseSpec, t):
-    """The drive c(t): pulse.strength during the first ``width`` of each
-    period, zero for the rest. The train starts pulse-on at t = 0.
-
-    ``t`` is a time or an array of times; an array gives an array of the
-    same shape, with the same bits as one call per time.
-    """
-    t = np.asarray(t, dtype=float)
-    if pulse.strength == 0.0 or pulse.width == 0.0:
-        c = np.zeros_like(t)
-    else:
-        frac = t - pulse.period * np.floor(t / pulse.period)
-        c = np.where(frac < pulse.width, pulse.strength, 0.0)
-    return c if c.ndim else float(c)
-
-
 def time_grid(dt: float, t_max: float) -> np.ndarray:
     """The uniform grid 0, dt, ..., n * dt with n = round(t_max / dt)."""
     if dt <= 0 or t_max <= 0:

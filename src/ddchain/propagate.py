@@ -44,6 +44,9 @@ from .model import (
 # cell takes the same GEMM kernel path whatever its batch-mates or BLAS thread count.
 _BLOCK = 8
 
+# Past this r * duration one eigensolve costs less than the Chebyshev series (N = 130).
+_CHEBYSHEV_MAX_RT = 40.0
+
 
 def initial_state(n_sites: int) -> np.ndarray:
     """The product state with the up spin on the qubit site."""
@@ -137,13 +140,16 @@ def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: floa
     """exp(-i h duration) state, as exp(-i c duration) times the Chebyshev
     series sum_n (2 - [n = 0]) (-i)^n J_n(r duration) T_n((h - c) / r) state
     over the Gershgorin interval [c - r, c + r] of h: tridiagonal matvecs
-    only, and an exact copy for zero duration."""
+    only, and an exact copy for zero duration; past r duration =
+    _CHEBYSHEV_MAX_RT, the spectral step ``evolve_interval``."""
     d, e = h.diagonal, h.off_diagonal
     reach = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
     lo, hi = float((d - reach).min()), float((d + reach).max())
     c, r = (hi + lo) / 2, (hi - lo) / 2
     if r * duration == 0.0:
         return np.exp(-1j * c * duration) * state
+    if r * duration > _CHEBYSHEV_MAX_RT:
+        return evolve_interval(state, decompose(h), duration)
     j = _bessel_series(r * duration)
     d2, e2 = 2 * (d - c) / r, 2 * e / r
     prev, cur, total = 0.0, state, j[0] * state
@@ -158,7 +164,7 @@ def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: floa
 
 def _chebyshev_train(chain: ChainSpec, pulse: PulseSpec, record_every: int):
     """Yield (k, fidelity) as ``_batch`` does for one train, stepping one
-    site-basis state by ``_chebyshev_step``: no eigensolve and no BLAS."""
+    site-basis state by ``_chebyshev_step``: no BLAS below _CHEBYSHEV_MAX_RT."""
     yield 0, 1.0
     state = initial_state(chain.n_sites)
     for k, (pulsed, free) in zip(range(1, pulse.periods + 1), _period_hamiltonians(chain, pulse)):

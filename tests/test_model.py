@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from ddchain.model import (
     TridiagonalHamiltonian,
     build_controlled_hamiltonian,
     build_free_hamiltonian,
-    control_value,
     environment_block,
     sample_period_noise,
     sample_static_disorder,
@@ -150,47 +147,3 @@ def test_environment_block():
     env = environment_block(h)
     assert np.array_equal(env.diagonal, [0.2, 0.3, 0.4])
     assert np.array_equal(env.off_diagonal, [1.0, 1.0])
-
-
-def test_control_value_pulse_train():
-    pulse = PulseSpec(8.0, 1.3, 1.2, 4)
-    assert control_value(pulse, 0.0) == 8.0
-    assert control_value(pulse, 1.1) == 8.0
-    assert control_value(pulse, 1.25) == 0.0
-    assert control_value(pulse, 1.3 + 0.6) == 8.0   # second period, pulse on
-    assert control_value(pulse, 1.3 + 1.25) == 0.0  # second period, pulse off
-    always_on = PulseSpec(3.0, 1.0, 1.0, 1)
-    assert control_value(always_on, 0.999) == 3.0
-    zero_width = PulseSpec(3.0, 1.0, 0.0, 1)
-    assert control_value(zero_width, 0.5) == 0.0
-
-
-@pytest.mark.parametrize("pulse", [
-    PulseSpec(8.0, 1.3, 1.2, 4),
-    PulseSpec(3.0, 1.0, 1.0, 3),   # always on
-    PulseSpec(3.0, 1.0, 0.0, 3),   # zero width
-    PulseSpec(0.0, 0.7, 0.3, 3),   # zero strength
-    PulseSpec(-2.5, 0.1, 0.03, 50),
-])
-def test_control_value_array_matches_scalar_calls(pulse):
-    # Pulse edges (k * tau and k * tau + delta) and a dense grid of
-    # midpoints, as the Volterra solver asks for them.
-    k = np.arange(pulse.periods + 1)
-    times = np.concatenate([
-        k * pulse.period,
-        k * pulse.period + pulse.width,
-        (np.arange(4000) + 0.5) * 1e-3,
-        np.random.default_rng(3).uniform(-1.0, 5.0, 500),
-    ])
-    scalar = np.array([control_value(pulse, t) for t in times.tolist()])
-    assert control_value(pulse, times).tobytes() == scalar.tobytes()
-    # The same floor arithmetic in plain Python floats.
-    loop = np.array([
-        0.0 if pulse.strength == 0.0 or pulse.width == 0.0
-        else pulse.strength if t - pulse.period * math.floor(t / pulse.period) < pulse.width
-        else 0.0
-        for t in times.tolist()
-    ])
-    assert scalar.tobytes() == loop.tobytes()
-    assert control_value(pulse, times.reshape(2, -1)).shape == (2, len(times) // 2)
-    assert type(control_value(pulse, 0.25)) is float

@@ -281,7 +281,9 @@ def test_chebyshev_norm_drift_raises_numerical_error(monkeypatch):
         run_protocol(ChainSpec(n_sites=8, per_period_noise=0.1), PulseSpec(5.0, 1.0, 0.5, 3))
 
 
-def test_chebyshev_step_matches_spectral_step():
+def test_chebyshev_step_matches_spectral_step(monkeypatch):
+    # With no cutoff the series itself runs up to r * duration of about 250.
+    monkeypatch.setattr(propagate, "_CHEBYSHEV_MAX_RT", math.inf)
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -307,6 +309,25 @@ def test_chebyshev_step_matches_spectral_step():
             assert np.abs(propagate._chebyshev_step(h, state, duration) - expected).max() <= 1e-12
 
     check()
+
+
+def test_long_noisy_segments_step_spectrally(monkeypatch):
+    # Past the cutoff the series would cost about r * duration matvecs; at
+    # strength 1e300 its coefficient loop never ends.
+    real_series = propagate._bessel_series
+
+    def short_series(x):
+        assert x <= propagate._CHEBYSHEV_MAX_RT, f"Chebyshev series at r * duration = {x:g}"
+        return real_series(x)
+
+    chain = ChainSpec(n_sites=130, per_period_noise=0.1)
+    h = build_controlled_hamiltonian(chain, PulseSpec(8.0, 1.3, 1.2, 1))
+    state = initial_state(130)
+    expected = evolve_interval(state, decompose(h), 10.0)  # r * duration = 55
+    monkeypatch.setattr(propagate, "_bessel_series", short_series)
+    assert np.abs(propagate._chebyshev_step(h, state, 10.0) - expected).max() <= 1e-12
+    record = run_protocol(ChainSpec(n_sites=40, per_period_noise=0.1), PulseSpec(1e300, 1.3, 1.2, 2))
+    assert np.all(np.isfinite(record.fidelities))
 
 
 def test_chebyshev_zero_duration_is_an_exact_copy():
@@ -347,6 +368,62 @@ def test_noisy_protocol_matches_oracle_at_paper_scale():
     pulse = PulseSpec(8.0, 1.3, 1.2, 128)
     value = run_protocol(chain, pulse).fidelities[-1]
     assert value == pytest.approx(oracle_final_fidelity(chain, pulse), abs=1e-12)
+
+
+def floquet_weights(chain, pulse):
+    """Qubit weights |Z_0k|^2 and eigenvalues lambda_k of one period's
+    propagator U = expm(-i H_f (tau - delta)) expm(-i H_p delta), from dense
+    expm and the complex Schur form U = Z T Z^H, which is diagonal as U is
+    normal. The amplitude after m periods is sum_k |Z_0k|^2 lambda_k^m."""
+    import scipy.linalg
+
+    def dense(h):
+        return np.diag(h.diagonal) + np.diag(h.off_diagonal, 1) + np.diag(h.off_diagonal, -1)
+
+    offsets = sample_static_disorder(chain)
+    free = dense(build_free_hamiltonian(chain, *offsets))
+    pulsed = dense(build_controlled_hamiltonian(chain, pulse, *offsets))
+    u = (scipy.linalg.expm(-1j * free * (pulse.period - pulse.width))
+         @ scipy.linalg.expm(-1j * pulsed * pulse.width))
+    t, z = scipy.linalg.schur(u, output="complex")
+    assert np.abs(np.triu(t, 1)).max() <= 1e-13
+    return np.abs(z[0]) ** 2, np.diag(t)
+
+
+FLOQUET_CHAINS = [
+    ChainSpec(n_sites=130),
+    ChainSpec(n_sites=130, static_coupling_disorder=0.3, band_broadening=0.3, seed=5),
+]
+
+
+@pytest.mark.parametrize("chain", FLOQUET_CHAINS)
+@pytest.mark.parametrize("psi", [3.0, 8.0])
+def test_final_fidelities_match_floquet_oracle(chain, psi):
+    # No stepping on the oracle's side, so m = 10^4 (78 paper trains) checks
+    # the rounding a long train accumulates and its norm guard.
+    cells = [(1.2, 1.3), (0.5, 0.65)]
+    spectra = [floquet_weights(chain, PulseSpec(psi, tau, delta, 1)) for delta, tau in cells]
+    for m, bound in ((128, 1e-12), (10_000, 1e-10)):
+        got = final_fidelities(chain, [PulseSpec(psi, tau, delta, m) for delta, tau in cells])
+        expected = [abs(np.sum(w * lam**m)) for w, lam in spectra]
+        assert np.abs(got - expected).max() <= bound, m
+
+
+@pytest.mark.parametrize("delta, tau, psi", [
+    (1.2, 1.3, 8.0), (1.6, 1.7, 8.0), (0.05, 0.06, 8.0),  # acceptance criterion 3
+    (0.5, 0.65, 3.0), (0.5, 0.65, 7.5), (0.5, 0.65, 14.0),  # acceptance criterion 4
+])
+def test_valid_region_is_where_one_floquet_state_holds_the_qubit(delta, tau, psi):
+    # w_max = max_k |Z_0k|^2 is the qubit weight of the most qubit-like
+    # Floquet state, the pulsed counterpart of the bound state: 0.981, 0.788,
+    # 0.978, 0.821, 0.982 and 0.201 on these cells. On the 12 x 12 grid over
+    # delta-tau's default ranges at psi = 8 on this chain, F >= 0.95 and
+    # w_max >= 0.95 agreed on all 87 feasible cells, and |F - w_max| <= 0.0023
+    # wherever F > 0.9. Nothing beyond that chain and grid was measured.
+    chain = ChainSpec(n_sites=130)
+    weights, _ = floquet_weights(chain, PulseSpec(psi, tau, delta, 1))
+    fidelity = final_fidelity(chain, PulseSpec(psi, tau, delta, 128))
+    assert (weights.max() >= 0.95) == (fidelity >= 0.95)
 
 
 def test_batched_matches_oracle_on_random_chains():
