@@ -390,13 +390,10 @@ def floquet_weights(chain, pulse):
     return np.abs(z[0]) ** 2, np.diag(t)
 
 
-FLOQUET_CHAINS = [
+@pytest.mark.parametrize("chain", [
     ChainSpec(n_sites=130),
     ChainSpec(n_sites=130, static_coupling_disorder=0.3, band_broadening=0.3, seed=5),
-]
-
-
-@pytest.mark.parametrize("chain", FLOQUET_CHAINS)
+])
 @pytest.mark.parametrize("psi", [3.0, 8.0])
 def test_final_fidelities_match_floquet_oracle(chain, psi):
     # No stepping on the oracle's side, so m = 10^4 (78 paper trains) checks
