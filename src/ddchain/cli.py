@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         return 2
     try:
         print(run(cfg))
-    except (DdchainError, ValueError, OSError) as exc:
+    except (DdchainError, ValueError, OSError, MemoryError) as exc:
         print(f"ddchain: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,13 +1,15 @@
 """Spectral decomposition of real symmetric tridiagonal Hamiltonians.
 
-Backed by LAPACK's divide-and-conquer solver ``dstevd``, called directly
-through ``scipy.linalg.lapack`` so the driver (and so the bytes) does not
-follow scipy's choice for ``eigh_tridiagonal``; the wrapper maps solver
-failures onto the package error type. Eigenvalues come back ascending
-with a full orthonormal eigenvector matrix, which is what the spectral
-propagator needs. Eigenvector signs are whatever LAPACK returns: every
-use (V f(E) V^T, V_f^T V_p, squared rows, moduli) is exactly invariant
-under flipping a column, so no sign convention is imposed.
+Backed by LAPACK's divide-and-conquer solver through ``np.linalg.eigh``,
+which runs ``dsyevd`` on the dense matrix. Its Householder reduction
+leaves a matrix that is already tridiagonal exactly as it is (every
+reflector is the identity), and it then calls the same ``dstedc`` as the
+tridiagonal driver ``dstevd``, so the eigenpairs are ``dstevd``'s bits
+without loading scipy. Eigenvalues come back ascending with a full
+orthonormal eigenvector matrix, which is what the spectral propagator
+needs. Eigenvector signs are whatever LAPACK returns: every use
+(V f(E) V^T, V_f^T V_p, squared rows, moduli) is exactly invariant under
+flipping a column, so no sign convention is imposed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import NumericalError
 from .model import TridiagonalHamiltonian
@@ -38,20 +39,32 @@ class SpectralDecomposition:
 
 
 def decompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
-    """Full spectral decomposition of ``h`` by LAPACK ``dstevd``.
+    """Full spectral decomposition of ``h``, bit for bit LAPACK ``dstevd``'s.
+
+    The dense matrix is filled entry by entry, never summed, so it holds
+    exactly the entries of ``h``. A diagonal holding -0.0 is the one known
+    case whose bits can differ from ``dstevd``'s (by up to 7e-10 on
+    zero-diagonal chains); the model's builders add their offsets to
+    zeros, so they never make one.
+    The eigenvectors come back as a Fortran-ordered copy, the layout
+    ``dstevd`` returns: the propagator's products pick their BLAS kernels
+    by memory order, and a C-ordered basis changes their bits.
 
     Deterministic for identical input at a given BLAS thread count. For
-    a few hundred sites and more, dstevd's threaded merge products make
-    the eigenvector bits depend on that count as well.
+    a few hundred sites and more, the threaded merge products make the
+    eigenvector bits depend on that count as well.
 
     Raises NumericalError if the eigensolver fails to converge.
     """
-    if h.size == 1:  # the wrapper rejects an empty off-diagonal
-        eigenvalues, vectors = h.diagonal.copy(), np.ones((1, 1))
-    else:
-        eigenvalues, vectors, info = scipy.linalg.lapack.dstevd(h.diagonal, h.off_diagonal)
-        if info != 0:
-            raise NumericalError(f"tridiagonal eigensolver failed for size {h.size}: info={info}")
+    n = h.size
+    matrix = np.diag(h.diagonal)
+    rows = np.arange(n - 1)
+    matrix[rows + 1, rows] = matrix[rows, rows + 1] = h.off_diagonal
+    try:
+        eigenvalues, vectors = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed for size {n}: {exc}") from exc
+    vectors = vectors.copy(order="F")
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralDecomposition(eigenvalues, vectors)

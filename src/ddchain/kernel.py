@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .eigen import decompose, spectral_sum
 from .errors import NumericalError
@@ -145,6 +144,10 @@ def solve_p_equation(
     |P| exceeds 1.05, the step-size instability guard (the exact
     solution has |P| <= 1).
     """
+    # NumPy has no triangular solve. Importing scipy here, not at module
+    # level, keeps it out of every run that does not solve this equation.
+    from scipy.linalg.lapack import ztrtrs
+
     t = time_grid(dt, t_max)
     n = len(t) - 1
     check_within_train(control, t_max)
@@ -184,7 +187,7 @@ def solve_p_equation(
         # The block's only term that neither its Toeplitz part nor the FFT
         # spans carry: its first row's sub-diagonal entry times p[start - 1].
         rhs[start] -= sub[0] * p[start - 1]
-        x, info = scipy.linalg.lapack.ztrtrs(a, rhs[start:end, None], lower=1)
+        x, info = ztrtrs(a, rhs[start:end, None], lower=1)
         if info != 0:
             raise NumericalError(f"memory-kernel step singular at t={(start + info - 1) * dt:g}")
         block = x[:, 0]

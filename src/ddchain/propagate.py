@@ -143,7 +143,8 @@ def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: floa
     only, and an exact copy for zero duration; past r duration =
     _CHEBYSHEV_MAX_RT, the spectral step ``evolve_interval``."""
     d, e = h.diagonal, h.off_diagonal
-    reach = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
+    padded = np.abs(np.concatenate(([0.0], e, [0.0])))
+    reach = padded[:-1] + padded[1:]  # |e[i - 1]| + |e[i]|, zero past the ends
     lo, hi = float((d - reach).min()), float((d + reach).max())
     c, r = (hi + lo) / 2, (hi - lo) / 2
     if r * duration == 0.0:

@@ -161,16 +161,32 @@ def test_blas_thread_count_does_not_change_chebyshev_trace_column(tmp_path):
     assert columns[0] == columns[1]
 
 
-def test_cli_import_leaves_scipy_special_out():
-    # scipy.special would add about 50 ms to every run's start-up; the
-    # Chebyshev step computes its Bessel coefficients in NumPy instead.
+# Runs small spectral kinds in-process and lists the scipy modules then
+# loaded, then runs a small pq-check and says whether it loaded scipy.linalg.
+SCIPY_MODULES_CHILD = """
+import sys
+from ddchain.cli import main
+out = sys.argv[1]
+for args in (["trace", "--n", "8", "--m", "2"], ["kernel", "--n", "8"],
+             ["delta-tau", "--n", "8", "--m", "2", "--delta-steps", "2", "--tau-steps", "2"]):
+    assert main([*args, "--out", out]) == 0, args
+print("loaded:", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+assert main(["pq-check", "--m", "2", "--out", out]) == 0
+print("loaded:", "scipy.linalg" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # Importing scipy.linalg adds about 0.2 s to every run's start-up. The
+    # eigensolver goes through NumPy's own LAPACK, and the Chebyshev step
+    # computes its Bessel coefficients in NumPy, so only pq-check's
+    # Volterra solve, which needs a triangular solve, loads scipy.
     src = str(Path(ddchain.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, ddchain.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", SCIPY_MODULES_CHILD, str(tmp_path / "x.csv")],
+                            env=env, check=True, capture_output=True, text=True, timeout=120)
+    loaded = [line for line in result.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: []", "loaded: True"]
 
 
 # Runs the CLI in-process, then prints this process's own peak RSS (kB) last.
@@ -288,6 +304,14 @@ def test_failed_sidecar_write_leaves_no_csv(tmp_path, capsys):
     assert run_cli("kernel", "--n", "10", "--out", str(out)) == 1
     assert "error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv.meta"]
+
+
+def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
+    # 5e13 kernel samples cannot be allocated: a clean error, no traceback, no files.
+    out = tmp_path / "k.csv"
+    assert run_cli("kernel", "--dt", "1e-13", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("ddchain: error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -103,12 +103,32 @@ def test_decompose_is_bitwise_eigh_tridiagonal_stevd(n):
 
 
 def test_eigensolver_failure_is_a_numerical_error(monkeypatch):
-    def failing(d, e):
-        return d.copy(), np.eye(len(d)), 3
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
-    with pytest.raises(NumericalError, match="info=3"):
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalError, match="size 4: Eigenvalues did not converge"):
         decompose(TridiagonalHamiltonian(np.zeros(4), np.ones(3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 130])
+@pytest.mark.parametrize("disorder", [0.0, 0.3])
+@pytest.mark.parametrize("psi", [0.0, 8.0])
+def test_decompose_matches_lapack_dstevd(n, disorder, psi):
+    # The dense eigh route against LAPACK's tridiagonal driver itself, with
+    # each eigenvector column up to its sign; the propagator's products
+    # expect the Fortran layout dstevd returns.
+    chain = ChainSpec(n_sites=n, static_coupling_disorder=disorder, band_broadening=disorder,
+                      seed=n)
+    h = build_controlled_hamiltonian(chain, PulseSpec(psi, 1.3, 1.2, 4),
+                                     *sample_static_disorder(chain))
+    dec = decompose(h)
+    w, v, info = scipy.linalg.lapack.dstevd(h.diagonal, h.off_diagonal)
+    assert info == 0
+    assert dec.eigenvectors.flags.f_contiguous
+    assert np.abs(dec.eigenvalues - w).max() <= 1e-12
+    signs = np.sign(np.sum(dec.eigenvectors * v, axis=0))
+    assert np.abs(dec.eigenvectors - v * signs).max() <= 1e-12
 
 
 def test_outputs_are_invariant_under_eigenvector_sign_flips(monkeypatch):
