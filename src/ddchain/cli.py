@@ -23,8 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .config import (KINDS, RESULT_PREFIX, SINGLE_PULSE_KINDS, ConfigError, RunConfig,
-                     config_to_lines, parse_config)
+from .config import (KINDS, LEGACY_KEYS, RESULT_PREFIX, SINGLE_PULSE_KINDS, ConfigError,
+                     RunConfig, config_to_lines, parse_config)
 from .errors import DdchainError
 from .model import ChainSpec, PulseSpec
 from .sweeps import (
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind, help_text in KINDS.items():
         p = sub.add_parser(kind, help=help_text)
         p.add_argument("--config", help="key=value config file (flags override it)")
-        for key in _FLAG_KEYS:
+        for key in _FLAG_KEYS + LEGACY_KEYS:  # legacy flags are parsed, then dropped
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V")
     return parser
 

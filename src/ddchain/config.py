@@ -2,10 +2,10 @@
 
 Config files are UTF-8 text, one ``key=value`` per line; blank lines and
 lines starting with ``#`` are ignored; a key given twice is an error.
-Keys not in the schema are an error (no silent typo tolerance), with one
-exception: keys under the reserved ``result.`` prefix are skipped, so a
+Keys not in the schema are an error (no silent typo tolerance), with two
+exceptions: keys under the reserved ``result.`` prefix are skipped, so a
 run's metadata sidecar can be fed back in as a config file and
-reproduces the run exactly.
+reproduces the run exactly, and so are the retired ``LEGACY_KEYS``.
 
 Every field always has a concrete value after parsing (kind-dependent
 defaults are resolved at parse time), so serializing a RunConfig and
@@ -30,6 +30,7 @@ KINDS = {
 }
 
 RESULT_PREFIX = "result."
+LEGACY_KEYS = ("workers",)  # accepted from old configs, sidecars and flags; no effect
 
 
 class ConfigError(DdchainError):
@@ -52,7 +53,6 @@ class RunConfig:
     epsilon: float
     eta: float
     seed: int = 1
-    workers: int = 1  # accepted for old configs and sidecars; has no effect
     out: str
     record_every: int = 1
     n_values: tuple[int, ...] = tuple(range(20, 131))
@@ -136,7 +136,7 @@ def parse_config(
 
     values: dict[str, object] = {}
     for key, text in raw.items():
-        if key.startswith(RESULT_PREFIX):
+        if key.startswith(RESULT_PREFIX) or key in LEGACY_KEYS:
             continue
         parser = _PARSERS.get(key)
         if parser is None:
@@ -176,7 +176,6 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("gamma", "epsilon", "eta"):
         _require(getattr(cfg, key) >= 0, f"{key} must be >= 0")
     _require(0 <= cfg.seed < 2 ** 64, f"seed must fit in 64 bits, got {cfg.seed}")
-    _require(cfg.workers >= 1, f"workers must be >= 1, got {cfg.workers}")
     _require(cfg.record_every >= 1, f"record_every must be >= 1, got {cfg.record_every}")
     _require(cfg.dt > 0, f"dt must be > 0, got {cfg.dt}")
     _require(cfg.t_max > 0, f"t_max must be > 0, got {cfg.t_max}")

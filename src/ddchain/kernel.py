@@ -47,22 +47,20 @@ class KernelTrace:
     lifetime: float | None
 
 
-def _spectral_weights(env: TridiagonalHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    dec = decompose(env)
-    weights = dec.eigenvectors[0, :] ** 2
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalError(f"eigenvector first-row weights sum to {total}, expected 1")
-    # Renormalizing removes the last float dust so g(0) == J^2 exactly.
-    return dec.eigenvalues, weights / total
-
-
 def kernel_values(
     env: TridiagonalHamiltonian, coupling: float, times: np.ndarray
 ) -> np.ndarray:
-    """Evaluate g at arbitrary times (negative allowed) from the
-    spectral sum over the environment block."""
-    return (coupling * coupling) * spectral_sum(*_spectral_weights(env), times)
+    """Evaluate g at arbitrary times (negative allowed) from the spectral
+    sum over the environment block; NumericalError if J^2 overflows."""
+    squared = float(coupling) * float(coupling)  # overflows to inf without a warning
+    if not math.isfinite(squared):
+        raise NumericalError(f"kernel scale J^2 overflows at J = {coupling:g}")
+    dec = decompose(env)
+    weights = dec.eigenvectors[0, :] ** 2
+    if not abs((total := weights.sum()) - 1.0) <= 1e-10:
+        raise NumericalError(f"eigenvector first-row weights sum to {total}, expected 1")
+    # Renormalizing removes the last float dust so g(0) == J^2 exactly.
+    return squared * spectral_sum(dec.eigenvalues, weights / total, times)
 
 
 def correlation_kernel(
@@ -141,8 +139,8 @@ def solve_p_equation(
 
     Raises ValueError when ``t_max`` runs past the end of the pulse
     train or ``g`` has fewer than n + 1 samples, and NumericalError if
-    |P| exceeds 1.05, the step-size instability guard (the exact
-    solution has |P| <= 1).
+    |P| exceeds 1.05 or is NaN, the step-size instability guard (the
+    exact solution has |P| <= 1).
     """
     # NumPy has no triangular solve. Importing scipy here, not at module
     # level, keeps it out of every run that does not solve this equation.
@@ -195,7 +193,7 @@ def solve_p_equation(
         # An unstable block may overflow; the first offending step is reported.
         with np.errstate(over="ignore", invalid="ignore"):
             magnitude = np.abs(block)
-            unstable = magnitude > 1.05
+            unstable = ~(magnitude <= 1.05)  # NaN too
         if unstable.any():
             k = int(np.argmax(unstable))
             raise NumericalError(

@@ -107,6 +107,12 @@ def test_worker_count_does_not_change_csv(tmp_path):
     assert run_cli(*args, "--workers", "1", "--out", str(out1)) == 0
     assert run_cli(*args, "--workers", "3", "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # The retired key is not written, and an old sidecar that holds it still reruns.
+    meta = Path(sidecar_path(str(out2)))
+    assert "workers=" not in meta.read_text(encoding="utf-8")
+    meta.write_text(meta.read_text(encoding="utf-8") + "workers=4\n", encoding="utf-8")
+    assert run_cli("delta-tau", "--config", str(meta), "--out", str(out1)) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_blas_thread_count_does_not_change_csv(tmp_path):
@@ -311,6 +317,24 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     out = tmp_path / "k.csv"
     assert run_cli("kernel", "--dt", "1e-13", "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("ddchain: error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
+
+
+# numpy warns of the overflow (and of inf * 0) before any guard can look.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    # The phases of E t overflow: a NaN state must trip the norm guard.
+    ["delta-tau", "--psi", "1.7e308", "--n", "5", "--m", "2",
+     "--delta-steps", "2", "--tau-steps", "2"],
+    ["size", "--j", "1e308", "--n-values", "5", "--m", "2"],
+    ["trace", "--j", "1e308", "--n", "5", "--m", "2"],
+    # J^2 overflows: no kernel, so no Volterra solve either.
+    ["pq-check", "--j", "1e200", "--n", "5", "--m", "1", "--dt", "0.01"],
+    ["kernel", "--j", "1e160", "--n", "5", "--t-max", "0.05"],
+])
+def test_overflowing_inputs_exit_1_without_files(tmp_path, capsys, args):
+    assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err.startswith("ddchain: error: ")
     assert list(tmp_path.iterdir()) == []
 
 

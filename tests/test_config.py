@@ -31,7 +31,6 @@ def test_parse_example_file(tmp_path):
     assert cfg.tau == 1.3
     assert cfg.m == 128
     assert cfg.out == "size.csv"
-    assert cfg.workers >= 1
 
 
 def test_unknown_key_is_an_error(tmp_path):
@@ -44,6 +43,12 @@ def test_result_prefixed_keys_are_skipped(tmp_path):
     path = write(tmp_path, "kind=kernel\nresult.lifetime=1.87\nresult.version=0.1.0\n")
     cfg = parse_config(path)
     assert cfg.kind == "kernel"
+
+
+def test_legacy_workers_key_is_skipped(tmp_path):
+    # Sidecars written before the key was retired still parse, whatever its value.
+    path = write(tmp_path, "kind=size\nworkers=4\n")
+    assert parse_config(path, overrides={"workers": "0"}) == parse_config(kind="size")
 
 
 def test_width_beyond_period_rejected_for_trace(tmp_path):
@@ -104,7 +109,7 @@ DEFAULT_N_VALUES = (
 def default_lines(kind, dt, gamma, epsilon, eta):
     return [
         f"kind={kind}", "n=130", "j=1.0", "psi=8.0", "delta=1.2", "tau=1.3", "m=128",
-        f"gamma={gamma}", f"epsilon={epsilon}", f"eta={eta}", "seed=1", "workers=1",
+        f"gamma={gamma}", f"epsilon={epsilon}", f"eta={eta}", "seed=1",
         f"out={kind}.csv", "record_every=1", f"n_values={DEFAULT_N_VALUES}",
         "delta_min=0.02", "delta_max=2.0", "delta_steps=100",
         "tau_min=0.02", "tau_max=2.5", "tau_steps=100",
@@ -134,7 +139,6 @@ def test_every_default_is_pinned(kind, expected):
     [
         "n=1",
         "m=0",
-        "workers=0",
         "record_every=0",
         "tau=0",
         "gamma=-0.5",

@@ -202,6 +202,20 @@ def test_p_equation_instability_guard():
         solve_p_equation(g, free_train(10.0), 10.0, 0.1)
 
 
+def test_p_equation_guard_rejects_nan_amplitudes():
+    # NaN compares false with 1.05 either way; the guard must still fire, at the first step.
+    g = np.full(11, np.nan, dtype=complex)
+    with pytest.raises(NumericalError, match="unstable at t=0.5: [|]P[|]=nan"):
+        solve_p_equation(g, free_train(5.0), 5.0, 0.5)
+
+
+def test_kernel_scale_overflow_is_a_numerical_error():
+    # J^2 = inf would scale the sum to inf and NaN samples.
+    with pytest.raises(NumericalError, match="overflows"):
+        kernel_values(free_env(4), 1e160, np.linspace(0.0, 1.0, 5))
+    assert np.all(np.isfinite(kernel_values(free_env(4), 1e150, np.linspace(0.0, 1.0, 5))))
+
+
 def test_p_equation_instability_guard_fails_at_the_oracle_step():
     # A small negative kernel makes |P| grow like cosh; it crosses 1.05
     # at step 82, past the first block, so the FFT history feeds it.
