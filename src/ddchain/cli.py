@@ -48,8 +48,8 @@ def sidecar_path(out: str) -> str:
 def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict[str, str],
                    started: float) -> None:
     """Write the CSV of ``columns`` ({header: column}), then its sidecar, to
-    temporary files beside ``cfg.out``, and move them into place (sidecar first)
-    only once both are written, so a failed run never leaves a CSV without its sidecar."""
+    temporary files beside ``cfg.out``, and move them into place (the sidecar
+    first, taken back out if the CSV cannot follow), so a failed run writes neither."""
     csv_temp, meta_temp = cfg.out + ".tmp", sidecar_path(cfg.out) + ".tmp"
     try:
         with open(csv_temp, "w", encoding="utf-8", newline="") as handle:
@@ -66,7 +66,11 @@ def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict
         with open(meta_temp, "w", encoding="utf-8", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
         os.replace(meta_temp, sidecar_path(cfg.out))
-        os.replace(csv_temp, cfg.out)
+        try:
+            os.replace(csv_temp, cfg.out)
+        except OSError:
+            os.remove(sidecar_path(cfg.out))
+            raise
     finally:
         for temp in (csv_temp, meta_temp):
             with contextlib.suppress(FileNotFoundError):
@@ -163,7 +167,7 @@ def main(argv=None) -> int:
         return 2
     try:
         print(run(cfg))
-    except (DdchainError, ValueError, OSError, MemoryError) as exc:
+    except (DdchainError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"ddchain: error: {exc}", file=sys.stderr)
         return 1
     return 0

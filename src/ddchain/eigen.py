@@ -33,10 +33,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
 
 def decompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     """Full spectral decomposition of ``h``, bit for bit LAPACK ``dstevd``'s.

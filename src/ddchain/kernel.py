@@ -99,10 +99,10 @@ def estimate_lifetime(
     if hold < dt:
         raise ValueError(f"hold must be >= dt={dt}, got {hold}")
     g0 = float(samples[0].real)
-    if g0 <= 0:
+    if g0 <= 0 or (steps := hold / dt - 1e-9) >= len(samples):  # no window fits, inf too
         return None
     below = samples.real <= threshold * g0
-    window = math.ceil(hold / dt - 1e-9) + 1
+    window = math.ceil(steps) + 1
     # Window of `window` consecutive True values via a cumulative sum; a
     # window longer than the samples leaves both slices empty.
     counts = np.cumsum(np.concatenate(([0], below.astype(np.int64))))

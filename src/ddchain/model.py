@@ -125,6 +125,10 @@ class TridiagonalHamiltonian:
         return len(self.diagonal)
 
 
+def _draw(spec: ChainSpec, amplitude: float, length: int, *tags: int) -> np.ndarray:
+    return amplitude * SplitMix64(derive_seed(spec.seed, *tags)).uniform_open_vector(length)
+
+
 def sample_static_disorder(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Draw the once-per-chain disorder: (bond_offsets, site_offsets).
 
@@ -133,11 +137,8 @@ def sample_static_disorder(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     the N sites. Bonds and sites use independent streams of the same
     seed, so e.g. the bond realization does not depend on epsilon.
     """
-    bonds = SplitMix64(derive_seed(spec.seed, STREAM_STATIC_BONDS))
-    sites = SplitMix64(derive_seed(spec.seed, STREAM_STATIC_SITES))
-    bond_offsets = spec.static_coupling_disorder * bonds.uniform_open_vector(spec.n_sites - 1)
-    site_offsets = spec.band_broadening * sites.uniform_open_vector(spec.n_sites)
-    return bond_offsets, site_offsets
+    return (_draw(spec, spec.static_coupling_disorder, spec.n_sites - 1, STREAM_STATIC_BONDS),
+            _draw(spec, spec.band_broadening, spec.n_sites, STREAM_STATIC_SITES))
 
 
 def sample_period_noise(spec: ChainSpec, period_index: int) -> np.ndarray:
@@ -148,8 +149,7 @@ def sample_period_noise(spec: ChainSpec, period_index: int) -> np.ndarray:
     """
     if period_index < 0:
         raise ValueError(f"period_index must be >= 0, got {period_index}")
-    stream = SplitMix64(derive_seed(spec.seed, STREAM_PERIOD_NOISE, period_index))
-    return spec.per_period_noise * stream.uniform_open_vector(spec.n_sites - 1)
+    return _draw(spec, spec.per_period_noise, spec.n_sites - 1, STREAM_PERIOD_NOISE, period_index)
 
 
 def _offsets(values, length: int, what: str) -> np.ndarray:
@@ -161,6 +161,16 @@ def _offsets(values, length: int, what: str) -> np.ndarray:
     return arr
 
 
+def _hamiltonian(spec: ChainSpec, strength: float, bond_offsets, site_offsets):
+    """The Hamiltonian with ``strength`` added to the qubit's diagonal entry. The diagonal
+    starts at +0.0, so it never holds -0.0 and zero strength changes no bit."""
+    n = spec.n_sites
+    diag = np.zeros(n) + _offsets(site_offsets, n, "site_offsets")
+    diag[0] += strength
+    off = np.full(n - 1, spec.coupling) + _offsets(bond_offsets, n - 1, "bond_offsets")
+    return TridiagonalHamiltonian(diag, off)
+
+
 def build_free_hamiltonian(
     spec: ChainSpec,
     bond_offsets: np.ndarray | None = None,
@@ -168,11 +178,7 @@ def build_free_hamiltonian(
 ) -> TridiagonalHamiltonian:
     """One-magnon Hamiltonian of the undriven chain: diagonal = site_offsets,
     off_diagonal = J + bond_offsets, with omitted offsets zero."""
-    n = spec.n_sites
-    diag = np.zeros(n)
-    diag += _offsets(site_offsets, n, "site_offsets")
-    off = np.full(n - 1, spec.coupling) + _offsets(bond_offsets, n - 1, "bond_offsets")
-    return TridiagonalHamiltonian(diag, off)
+    return _hamiltonian(spec, 0.0, bond_offsets, site_offsets)
 
 
 def build_controlled_hamiltonian(
@@ -183,10 +189,7 @@ def build_controlled_hamiltonian(
 ) -> TridiagonalHamiltonian:
     """One-magnon Hamiltonian while the pulse is on: the free Hamiltonian
     with the pulse strength added to the qubit's diagonal entry."""
-    h = build_free_hamiltonian(spec, bond_offsets, site_offsets)
-    diag = h.diagonal.copy()
-    diag[0] += pulse.strength
-    return TridiagonalHamiltonian(diag, h.off_diagonal)
+    return _hamiltonian(spec, pulse.strength, bond_offsets, site_offsets)
 
 
 def environment_block(h: TridiagonalHamiltonian) -> TridiagonalHamiltonian:
@@ -200,7 +203,9 @@ def time_grid(dt: float, t_max: float) -> np.ndarray:
     """The uniform grid 0, dt, ..., n * dt with n = round(t_max / dt)."""
     if dt <= 0 or t_max <= 0:
         raise ValueError("dt and t_max must be > 0")
-    return np.arange(int(round(t_max / dt)) + 1) * dt
+    if not math.isfinite(steps := t_max / dt):
+        raise ValueError(f"t_max / dt overflows: t_max={t_max:g}, dt={dt:g}")
+    return np.arange(int(round(steps)) + 1) * dt
 
 
 def check_within_train(pulse: PulseSpec, t_max: float) -> None:

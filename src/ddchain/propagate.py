@@ -66,8 +66,8 @@ def evolve_interval(state: np.ndarray, decomposition: SpectralDecomposition,
     V (exp(-i E duration) * (V^T state)); zero duration returns an exact copy."""
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    if len(state) != decomposition.size:
-        raise ValueError(f"state has length {len(state)}, expected {decomposition.size}")
+    if len(state) != (n := len(decomposition.eigenvalues)):
+        raise ValueError(f"state has length {len(state)}, expected {n}")
     column = np.array(state, dtype=complex).reshape(-1, 1)
     if duration == 0.0:
         return column[:, 0]
@@ -151,22 +151,9 @@ def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: floa
     return np.exp(-1j * c * duration) * total
 
 
-def _chebyshev_train(chain: ChainSpec, pulse: PulseSpec, record_every: int):
-    """Yield (k, fidelity) as ``_batch`` does for one train, stepping one
-    site-basis state by ``_chebyshev_step``: no BLAS below _CHEBYSHEV_MAX_RT."""
-    yield 0, 1.0
-    state = initial_state(chain.n_sites)
-    for k, (pulsed, free) in zip(range(1, pulse.periods + 1), _period_hamiltonians(chain, pulse)):
-        state = _chebyshev_step(pulsed, state, pulse.width)
-        state = _chebyshev_step(free, state, pulse.period - pulse.width)
-        if k % record_every == 0 or k == pulse.periods:
-            yield k, abs(state[0])
-    _check_norm(state, pulse.periods)
-
-
 def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segment=None):
-    """Yield (k, fidelities) at k = 0, every ``record_every`` periods and the
-    last period of ``pulses``, which share one strength and period count;
+    """Yield (k, fidelities) every ``record_every`` periods and at the last
+    period k of ``pulses``, which share one strength and period count;
     idle entries pad the fidelities to a multiple of _BLOCK. Once exhausted,
     raises NumericalError if a norm is off 1 by more than 1e-9.
 
@@ -182,7 +169,6 @@ def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segm
     widths = np.array([p.width for p in pulses] + pad)
     rests = np.array([p.period - p.width for p in pulses] + pad)
     periods = pulses[0].periods
-    yield 0, np.ones(len(widths))
     coeffs = np.repeat(initial_state(chain.n_sites)[:, None], len(widths), axis=1)
     h_last, basis, w = None, None, None
     for k, (h_pulsed, h_free) in zip(range(1, periods + 1), _period_hamiltonians(chain, pulses[0])):
@@ -220,10 +206,17 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    if chain.per_period_noise > 0.0:
-        records = _chebyshev_train(chain, pulse, record_every)
+    records = [(0, 1.0)]
+    if chain.per_period_noise > 0.0:  # no BLAS below _CHEBYSHEV_MAX_RT
+        state = initial_state(chain.n_sites)
+        for k, (pulsed, free) in zip(range(1, pulse.periods + 1), _period_hamiltonians(chain, pulse)):
+            state = _chebyshev_step(pulsed, state, pulse.width)
+            state = _chebyshev_step(free, state, pulse.period - pulse.width)
+            if k % record_every == 0 or k == pulse.periods:
+                records.append((k, abs(state[0])))
+        _check_norm(state, pulse.periods)
     else:
-        records = ((k, f[0]) for k, f in _batch(chain, [pulse], record_every))
+        records += ((k, f[0]) for k, f in _batch(chain, [pulse], record_every))
     ks, fids = zip(*records)
     return EvolutionRecord(np.array(ks) * pulse.period, np.array(fids))
 

@@ -3,9 +3,14 @@ each as one criterion with its tolerance, printing one PASS/FAIL line
 (run with ``pytest -rA`` or ``-s`` to see the lines for passing tests).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from ddchain.cli import main
+import ddchain
 from ddchain.eigen import decompose
 from ddchain.model import ChainSpec, PulseSpec, TridiagonalHamiltonian
 from ddchain.sweeps import (
@@ -145,14 +150,20 @@ def test_criterion_8_deterministic_csv_output(tmp_path):
         "--delta-min", "0.3", "--delta-max", "1.5", "--delta-steps", "4",
         "--tau-min", "0.4", "--tau-max", "1.6", "--tau-steps", "4",
     ]
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    assert main(args + ["--workers", "1", "--out", str(paths[0])]) == 0
-    assert main(args + ["--workers", "1", "--out", str(paths[1])]) == 0
-    assert main(args + ["--workers", "4", "--out", str(paths[2])]) == 0
-    rerun_identical = paths[0].read_bytes() == paths[1].read_bytes()
-    workers_identical = paths[0].read_bytes() == paths[2].read_bytes()
+    src = str(Path(ddchain.__file__).resolve().parents[1])
+    outputs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):  # a rerun, then 2 threads
+        out = tmp_path / f"{name}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "ddchain", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(out.read_bytes())
+    rerun_identical = outputs[0] == outputs[1]
+    threads_identical = outputs[0] == outputs[2]
     check(
         "identical config and seed give byte-identical CSV",
-        rerun_identical and workers_identical,
-        f"rerun identical = {rerun_identical}, worker-count independent = {workers_identical}",
+        rerun_identical and threads_identical,
+        f"rerun identical = {rerun_identical}, "
+        f"BLAS-thread-count independent = {threads_identical}",
     )

@@ -98,13 +98,13 @@ def test_sidecar_reruns_to_identical_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_worker_count_does_not_change_csv(tmp_path):
+def test_legacy_workers_flag_and_key_are_accepted_and_ignored(tmp_path):
     args = ["delta-tau", "--n", "16", "--m", "8",
             "--delta-min", "0.2", "--delta-max", "1.4", "--delta-steps", "4",
             "--tau-min", "0.3", "--tau-max", "1.2", "--tau-steps", "4"]
-    out1 = tmp_path / "w1.csv"
-    out2 = tmp_path / "w2.csv"
-    assert run_cli(*args, "--workers", "1", "--out", str(out1)) == 0
+    out1 = tmp_path / "plain.csv"
+    out2 = tmp_path / "w3.csv"
+    assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--workers", "3", "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
     # The retired key is not written, and an old sidecar that holds it still reruns.
@@ -312,6 +312,15 @@ def test_failed_sidecar_write_leaves_no_csv(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv.meta"]
 
 
+def test_failed_csv_move_leaves_no_sidecar(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    out.mkdir()
+    assert run_cli("kernel", "--n", "5", "--out", str(out)) == 1
+    assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
+    assert list(out.iterdir()) == []
+
+
 def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     # 5e13 kernel samples cannot be allocated: a clean error, no traceback, no files.
     out = tmp_path / "k.csv"
@@ -331,6 +340,13 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     # J^2 overflows: no kernel, so no Volterra solve either.
     ["pq-check", "--j", "1e200", "--n", "5", "--m", "1", "--dt", "0.01"],
     ["kernel", "--j", "1e160", "--n", "5", "--t-max", "0.05"],
+    # t_max / dt overflows the time grid.
+    ["kernel", "--dt", "5e-324"],
+    ["kernel", "--n", "5", "--t-max", "1e308"],
+    ["pq-check", "--n", "5", "--m", "1", "--dt", "1e-310"],
+    ["pq-check", "--n", "4", "--m", "1", "--tau", "1e308", "--delta", "1"],
+    # A size too large for a C long.
+    ["size", "--n-values", "99999999999999999999", "--m", "1"],
 ])
 def test_overflowing_inputs_exit_1_without_files(tmp_path, capsys, args):
     assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1

@@ -107,6 +107,7 @@ def test_lifetime_not_found_for_constant_kernel():
 def test_lifetime_needs_room_for_hold_window():
     samples = np.array([1, 0, 0], dtype=complex)
     assert estimate_lifetime(samples, 0.1, 0.02, 0.5) is None
+    assert estimate_lifetime(samples, 0.1, 0.02, 1e308) is None  # hold / dt overflows
     with pytest.raises(ValueError):
         estimate_lifetime(samples, 0.1, 1.5, 0.2)
 

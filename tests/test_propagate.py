@@ -142,6 +142,19 @@ def test_noisy_protocol_is_deterministic():
     assert not np.array_equal(a.fidelities, clean.fidelities)
 
 
+@pytest.mark.parametrize("periods", [1, 16])
+def test_noisy_protocol_builds_two_hamiltonians_a_period(monkeypatch, periods):
+    real_init, builds = TridiagonalHamiltonian.__post_init__, itertools.count()
+
+    def counted(self):
+        next(builds)
+        real_init(self)
+
+    monkeypatch.setattr(TridiagonalHamiltonian, "__post_init__", counted)
+    run_protocol(ChainSpec(n_sites=10, per_period_noise=0.2), PulseSpec(6.0, 1.1, 0.8, periods))
+    assert next(builds) == 2 * periods
+
+
 def test_amplitude_trace_matches_protocol_at_boundaries():
     chain = ChainSpec(n_sites=8, seed=5)
     pulse = PulseSpec(5.0, 1.3, 1.2, 5)
