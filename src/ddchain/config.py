@@ -168,6 +168,7 @@ def _require(condition: bool, message: str) -> None:
 
 def _validate(cfg: RunConfig) -> None:
     _require(cfg.n >= 2, f"n must be >= 2, got {cfg.n}")
+    _require(cfg.n < 2 ** 63, f"n must fit in a signed 64-bit integer, got {cfg.n}")
     for key in _FLOAT_KEYS:
         _require(math.isfinite(getattr(cfg, key)), f"{key} must be finite")
     _require(cfg.tau > 0, f"tau must be > 0, got {cfg.tau}")
@@ -189,6 +190,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.kind == "size":
         _require(len(cfg.n_values) > 0, "n_values must be nonempty")
         _require(all(v >= 2 for v in cfg.n_values), "every n_values entry must be >= 2")
+        _require(all(v < 2 ** 63 for v in cfg.n_values),
+                 "every n_values entry must fit in a signed 64-bit integer")
         _require(
             all(b > a for a, b in zip(cfg.n_values, cfg.n_values[1:])),
             "n_values must be strictly increasing",

@@ -7,8 +7,9 @@ period evolves under the pulsed Hamiltonian for ``width``, then under
 the free Hamiltonian for ``period - width``; each segment is applied
 spectrally, as phases exp(-i E t) on the state's coefficients over the
 segment's eigenvectors, which is unitary to rounding error. One train
-under per-period noise instead steps by the Chebyshev series of each
-segment's Hamiltonian (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+under per-period noise instead steps by a Chebyshev series of each
+segment's Hamiltonian (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984),
+built once per run over one interval that holds every period's spectrum.
 The survival fidelity is the modulus of the qubit amplitude: in this
 sector the reduced qubit density matrix has |amplitude|^2 as its
 excited-state population, and the fidelity against the initial state is
@@ -44,8 +45,9 @@ from .model import (
 # cell takes the same GEMM kernel path whatever its batch-mates or BLAS thread count.
 _BLOCK = 8
 
-# Past this r * duration one eigensolve costs less than the Chebyshev series (N = 130).
-_CHEBYSHEV_MAX_RT = 120.0
+# Past this r * duration one eigensolve costs less than one step of a built
+# Chebyshev series (N = 130).
+_CHEBYSHEV_MAX_RT = 220.0
 
 
 def initial_state(n_sites: int) -> np.ndarray:
@@ -124,31 +126,77 @@ def _bessel_series(x: float) -> np.ndarray:
     return np.array(j[:k]) / math.fsum([j[0], *(2 * v for v in j[2::2])])
 
 
-def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i h duration) state, as exp(-i c duration) times the Chebyshev
-    series sum_n (2 - [n = 0]) (-i)^n J_n(r duration) T_n((h - c) / r) state
-    over the Gershgorin interval [c - r, c + r] of h: tridiagonal matvecs
-    only, and an exact copy for zero duration; past r duration =
-    _CHEBYSHEV_MAX_RT, the spectral step ``evolve_interval``."""
-    d, e = h.diagonal, h.off_diagonal
-    padded = np.abs(np.concatenate(([0.0], e, [0.0])))
+def _gershgorin(diagonal: np.ndarray, abs_off: np.ndarray) -> tuple[float, float]:
+    """The Gershgorin interval of a tridiagonal matrix from its diagonal and
+    its off-diagonal moduli (or bounds on them, for an interval holding them all)."""
+    padded = np.concatenate(([0.0], abs_off, [0.0]))
     reach = padded[:-1] + padded[1:]  # |e[i - 1]| + |e[i]|, zero past the ends
-    lo, hi = float((d - reach).min()), float((d + reach).max())
+    return float((diagonal - reach).min()), float((diagonal + reach).max())
+
+
+def _noise_bound(chain: ChainSpec) -> np.ndarray:
+    """A bound on each off-diagonal modulus of every period under per-period
+    noise: |J + b| + eta for static bond offsets b, widened by a few ulps of
+    |J| + |b| + eta for the rounding of J + (b + noise)."""
+    b, eta, j = sample_static_disorder(chain)[0], chain.per_period_noise, chain.coupling
+    return np.abs(j + b) + eta + 4 * np.finfo(float).eps * (abs(j) + np.abs(b) + eta)
+
+
+def _chebyshev_stepper(diagonal: np.ndarray, abs_off: np.ndarray, duration: float):
+    """step(h, state) = exp(-i h duration) state for every h with this diagonal and
+    off-diagonal moduli at most ``abs_off``: over the Gershgorin interval [c - r, c + r]
+    of those bounds, exp(-i c duration) sum_n (2 - [n = 0]) (-i)^n J_n(r duration)
+    T_n((h - c) / r) state; an exact copy at zero r duration, and ``evolve_interval``
+    past r duration = _CHEBYSHEV_MAX_RT. The series, its weights and the zero-padded
+    rows T_(-1) = 0, T_0, T_1, ... are built once. A step sets the off-diagonal taps
+    from h; each T_(n+1) = 2 h' T_n - T_(n-1) (halved for T_1) is one product over six
+    float taps, T_n[i + 1], T_n[i], T_n[i - 1], T_(n-1)[i + 1], T_(n-1)[i], T_(n-1)[i - 1],
+    and one sum over them in that order, which adds as d' T_n[i] + e' T_n[i + 1] +
+    e' T_n[i - 1] - T_(n-1)[i] does. No BLAS."""
+    lo, hi = _gershgorin(diagonal, abs_off)
     c, r = (hi + lo) / 2, (hi - lo) / 2
     if r * duration == 0.0:
-        return np.exp(-1j * c * duration) * state
+        return lambda h, state: np.exp(-1j * c * duration) * state
     if r * duration > _CHEBYSHEV_MAX_RT:
-        return evolve_interval(state, decompose(h), duration)
+        return lambda h, state: evolve_interval(state, decompose(h), duration)
     j = _bessel_series(r * duration)
-    d2, e2 = 2 * (d - c) / r, 2 * e / r
-    prev, cur, total = 0.0, state, j[0] * state
-    for n in range(1, len(j)):  # T_n = 2 h' T_(n-1) - T_(n-2), halved at n = 1
-        step = d2 * cur
-        step[:-1] += e2 * cur[1:]
-        step[1:] += e2 * cur[:-1]
-        prev, cur = cur, step / 2 if n == 1 else step - prev
-        total += (2 * (1, -1j, -1, 1j)[n % 4] * j[n]) * cur
-    return np.exp(-1j * c * duration) * total
+    n, terms = len(diagonal), len(j)
+    weights = (np.resize([2, -2j, -2, 2j], terms) * j)[:, None]
+    weights[0] = j[0]
+    phase = np.exp(-1j * c * duration)
+    work = np.zeros((terms + 1, n + 2), dtype=complex)
+    flat = work.view(float)
+    row, size = flat.strides[0], flat.itemsize
+    taps = np.lib.stride_tricks.as_strided(  # taps[m][a, b, q] = flat[m + 1 - a, q + 4 - 2b]
+        flat[1, 4:], (terms - 1, 2, 3, 2 * n), (row, -row, -2 * size, size))
+    coeffs = np.zeros((2, 3, n, 2))
+    coeffs[0, 1] = (2 * (diagonal - c) / r)[:, None]
+    coeffs[1, 1] = -1.0
+    coeffs, upper, lower = coeffs.reshape(2, 3, 2 * n), coeffs[0, 0, :-1], coeffs[0, 2, 1:]
+    product = np.empty((2, 3, 2 * n))
+    summands, rows = product.reshape(6, -1), list(zip(taps, flat[2:, 2:-2]))
+    first = rows[0][1]
+    weighted = np.empty((terms, n), dtype=complex)
+
+    def step(h: TridiagonalHamiltonian, state: np.ndarray) -> np.ndarray:
+        upper[...] = lower[...] = (2 * h.off_diagonal / r)[:, None]
+        work[1, 1:-1] = state
+        for tap, out in rows:
+            np.multiply(coeffs, tap, out=product)
+            np.add.reduce(summands, axis=0, out=out)
+            if out is first:  # T_1 = h' T_0
+                out /= 2
+        np.multiply(weights, work[1:, 1:-1], out=weighted)
+        return phase * np.add.reduce(weighted, axis=0)
+
+    return step
+
+
+def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: float) -> np.ndarray:
+    """exp(-i h duration) state by ``_chebyshev_stepper`` over h's own
+    Gershgorin interval, built for this one step: the bits of the three-term
+    loop T_n = 2 h' T_(n-1) - T_(n-2) over that interval."""
+    return _chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), duration)(h, state)
 
 
 def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segment=None):
@@ -201,17 +249,21 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     Starting from the initial state, applies ``pulse.periods`` repetitions of
     [pulsed evolution for width, free evolution for period - width], recording
     the fidelity at t = 0 and every ``record_every`` periods, and the last one.
-    Under per-period noise it steps by ``_chebyshev_step``, which agrees with
-    the spectral route of ``final_fidelity`` to rounding, not bit for bit.
+    Under per-period noise it steps each segment by one ``_chebyshev_stepper``
+    over the bounds of ``_noise_bound``, built at the first period, which
+    agrees with the spectral route of ``final_fidelity`` to rounding, not bit
+    for bit.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     records = [(0, 1.0)]
     if chain.per_period_noise > 0.0:  # no BLAS below _CHEBYSHEV_MAX_RT
-        state = initial_state(chain.n_sites)
-        for k, (pulsed, free) in zip(range(1, pulse.periods + 1), _period_hamiltonians(chain, pulse)):
-            state = _chebyshev_step(pulsed, state, pulse.width)
-            state = _chebyshev_step(free, state, pulse.period - pulse.width)
+        state, steppers, bound = initial_state(chain.n_sites), None, _noise_bound(chain)
+        for k, pair in zip(range(1, pulse.periods + 1), _period_hamiltonians(chain, pulse)):
+            steppers = steppers or [_chebyshev_stepper(h.diagonal, bound, t) for h, t in
+                                    zip(pair, (pulse.width, pulse.period - pulse.width))]
+            for step, h in zip(steppers, pair):
+                state = step(h, state)
             if k % record_every == 0 or k == pulse.periods:
                 records.append((k, abs(state[0])))
         _check_norm(state, pulse.periods)

@@ -345,12 +345,22 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     ["kernel", "--n", "5", "--t-max", "1e308"],
     ["pq-check", "--n", "5", "--m", "1", "--dt", "1e-310"],
     ["pq-check", "--n", "4", "--m", "1", "--tau", "1e308", "--delta", "1"],
-    # A size too large for a C long.
-    ["size", "--n-values", "99999999999999999999", "--m", "1"],
 ])
 def test_overflowing_inputs_exit_1_without_files(tmp_path, capsys, args):
     assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
     assert capsys.readouterr().err.startswith("ddchain: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["size", "--n-values", "99999999999999999999", "--m", "1"],
+     "every n_values entry must fit in a signed 64-bit integer"),
+    (["trace", "--n", "99999999999999999999", "--m", "1"],
+     "n must fit in a signed 64-bit integer, got 99999999999999999999"),
+], ids=["size-n_values", "trace-n"])
+def test_sizes_past_64_bits_exit_2_without_files(tmp_path, capsys, args, message):
+    assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == f"ddchain: error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -156,6 +156,20 @@ def test_out_of_range_values_rejected(tmp_path, line):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("n", str(2 ** 63), "n must fit in a signed 64-bit integer"),
+    ("n_values", f"5,{2 ** 63}", "every n_values entry must fit in a signed 64-bit integer"),
+], ids=["n", "n_values"])
+def test_sizes_past_64_bits_rejected(key, text, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_config(kind="size", overrides={key: text})
+
+
+def test_largest_64_bit_sizes_pass_config():
+    cfg = parse_config(kind="size", overrides={"n": str(2 ** 63 - 1), "n_values": f"5,{2 ** 63 - 1}"})
+    assert cfg.n == 2 ** 63 - 1 and cfg.n_values == (5, 2 ** 63 - 1)
+
+
 FLOAT_KEYS = (
     "j", "psi", "delta", "tau", "gamma", "epsilon", "eta", "dt", "t_max", "threshold", "hold",
     "delta_min", "delta_max", "tau_min", "tau_max", "ratio_min", "ratio_max", "psi_min", "psi_max",

@@ -289,14 +289,98 @@ def test_norm_drift_raises_numerical_error(monkeypatch):
 
 
 def test_chebyshev_norm_drift_raises_numerical_error(monkeypatch):
-    real_step, calls = propagate._chebyshev_step, itertools.count()
+    real_stepper, calls = propagate._chebyshev_stepper, itertools.count()
 
-    def one_scaled(h, state, duration):  # the third segment's output only
-        return (1.001 if next(calls) == 2 else 1.0) * real_step(h, state, duration)
+    def one_scaled(*args):  # the third segment's output only
+        step = real_stepper(*args)
+        return lambda h, state: (1.001 if next(calls) == 2 else 1.0) * step(h, state)
 
-    monkeypatch.setattr(propagate, "_chebyshev_step", one_scaled)
+    monkeypatch.setattr(propagate, "_chebyshev_stepper", one_scaled)
     with pytest.raises(NumericalError, match="norm drifted by .* over 3 periods"):
         run_protocol(ChainSpec(n_sites=8, per_period_noise=0.1), PulseSpec(5.0, 1.0, 0.5, 3))
+    assert next(calls) == 6
+
+
+def reference_chebyshev_step(h, state, duration):
+    """The three-term Chebyshev loop over h's own Gershgorin interval that
+    the stencil replaced, with the same zero-duration and cutoff branches."""
+    d, e = h.diagonal, h.off_diagonal
+    padded = np.abs(np.concatenate(([0.0], e, [0.0])))
+    reach = padded[:-1] + padded[1:]
+    lo, hi = float((d - reach).min()), float((d + reach).max())
+    c, r = (hi + lo) / 2, (hi - lo) / 2
+    if r * duration == 0.0:
+        return np.exp(-1j * c * duration) * state
+    if r * duration > propagate._CHEBYSHEV_MAX_RT:
+        return evolve_interval(state, decompose(h), duration)
+    j = propagate._bessel_series(r * duration)
+    d2, e2 = 2 * (d - c) / r, 2 * e / r
+    prev, cur, total = 0.0, state, j[0] * state
+    for n in range(1, len(j)):  # T_n = 2 h' T_(n-1) - T_(n-2), halved at n = 1
+        step = d2 * cur
+        step[:-1] += e2 * cur[1:]
+        step[1:] += e2 * cur[:-1]
+        prev, cur = cur, step / 2 if n == 1 else step - prev
+        total += (2 * (1, -1j, -1, 1j)[n % 4] * j[n]) * cur
+    return np.exp(-1j * c * duration) * total
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 130, 500])
+def test_chebyshev_step_matches_three_term_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    chains = [ChainSpec(n), ChainSpec(n, 0.7, 0.3, 0.4, seed=5),
+              ChainSpec(n, -1.2, per_period_noise=0.2, seed=6)]
+    cutoff = propagate._CHEBYSHEV_MAX_RT * (1 - 1e-12)  # just below: still the series
+    for chain, psi in itertools.product(chains, (8.0, -3.0)):
+        hams = _period_hamiltonians(chain, PulseSpec(psi, 1.0, 0.5, 1))
+        for h in next(hams):
+            lo, hi = propagate._gershgorin(h.diagonal, np.abs(h.off_diagonal))
+            for rt in (1e-12, 1e-9, 1e-3, 0.7, 5.0, 31.0, 100.0, cutoff):
+                state = rng.normal(size=n) + 1j * rng.normal(size=n)
+                duration = rt / ((hi - lo) / 2)
+                out = propagate._chebyshev_step(h, state, duration)
+                assert np.array_equal(out, reference_chebyshev_step(h, state, duration)), (chain, rt)
+
+
+def test_noisy_protocol_builds_each_series_once(monkeypatch):
+    real_series, built = propagate._bessel_series, []
+    monkeypatch.setattr(propagate, "_bessel_series", lambda x: built.append(x) or real_series(x))
+    run_protocol(ChainSpec(n_sites=10, per_period_noise=0.2), PulseSpec(6.0, 1.1, 0.8, 16))
+    assert len(built) == 2
+
+
+def test_run_interval_holds_every_period_interval():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(2, 40),
+        coupling=st.floats(-2.0, 2.0),
+        gamma=st.floats(0.0, 0.5),
+        epsilon=st.floats(0.0, 0.5),
+        eta=st.floats(0.0, 0.5, exclude_min=True),
+        seed=st.integers(0, 2**64 - 1),
+        psi=st.floats(-20.0, 20.0),
+    )
+    def check(n, coupling, gamma, epsilon, eta, seed, psi):
+        chain = ChainSpec(n, coupling, gamma, epsilon, eta, seed)
+        bound = propagate._noise_bound(chain)
+        hams = _period_hamiltonians(chain, PulseSpec(psi, 1.0, 0.5, 1))
+        first = next(hams)
+        runs = [propagate._gershgorin(h.diagonal, bound) for h in first]
+        for pair in itertools.islice(itertools.chain([first], hams), 64):
+            for h, h0, (run_lo, run_hi) in zip(pair, first, runs):
+                assert np.array_equal(h.diagonal, h0.diagonal)
+                lo, hi = propagate._gershgorin(h.diagonal, np.abs(h.off_diagonal))
+                assert run_lo <= lo and hi <= run_hi
+        # Also at the noise's supremum, where |J + b| + eta alone fails by an ulp.
+        bond_off, site_off = sample_static_disorder(chain)
+        for sign in (1, -1):
+            h = build_free_hamiltonian(chain, bond_off + sign * eta, site_off)
+            assert np.all(np.abs(h.off_diagonal) <= bound)
+
+    check()
 
 
 def test_chebyshev_step_matches_spectral_step(monkeypatch):
@@ -341,9 +425,9 @@ def test_long_noisy_segments_step_spectrally(monkeypatch):
     chain = ChainSpec(n_sites=130, per_period_noise=0.1)
     h = build_controlled_hamiltonian(chain, PulseSpec(8.0, 1.3, 1.2, 1))
     state = initial_state(130)
-    expected = evolve_interval(state, decompose(h), 25.0)  # r * duration = 137.5
+    expected = evolve_interval(state, decompose(h), 45.0)  # r * duration = 247.5
     monkeypatch.setattr(propagate, "_bessel_series", short_series)
-    assert np.abs(propagate._chebyshev_step(h, state, 25.0) - expected).max() <= 1e-12
+    assert np.abs(propagate._chebyshev_step(h, state, 45.0) - expected).max() <= 1e-12
     record = run_protocol(ChainSpec(n_sites=40, per_period_noise=0.1), PulseSpec(1e300, 1.3, 1.2, 2))
     assert np.all(np.isfinite(record.fidelities))
 
@@ -376,6 +460,16 @@ def test_noisy_protocol_matches_oracle_at_paper_scale():
     pulse = PulseSpec(8.0, 1.3, 1.2, 128)
     value = run_protocol(chain, pulse).fidelities[-1]
     assert value == pytest.approx(oracle_final_fidelity(chain, pulse), abs=1e-12)
+
+
+def test_noisy_trace_matches_spectral_route_every_period():
+    # The bench's noisy trace (``trace --m 512 --seed 11``), period by period.
+    chain = ChainSpec(n_sites=130, per_period_noise=0.1, seed=11)
+    pulse = PulseSpec(8.0, 1.3, 1.2, 512)
+    record = run_protocol(chain, pulse)
+    spectral = [1.0] + [f[0] for _, f in propagate._batch(chain, [pulse], 1)]
+    assert len(spectral) == len(record.fidelities) == 513
+    assert np.abs(record.fidelities - spectral).max() <= 1e-12
 
 
 def floquet_weights(chain, pulse):
