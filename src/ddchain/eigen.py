@@ -9,7 +9,8 @@ without loading scipy. Eigenvalues come back ascending with a full
 orthonormal eigenvector matrix, which is what the spectral propagator
 needs. Eigenvector signs are whatever LAPACK returns: every use
 (V f(E) V^T, V_f^T V_p, squared rows, moduli) is exactly invariant under
-flipping a column, so no sign convention is imposed.
+flipping a column, so no sign convention is imposed. ``phases`` forms
+every array of spectral phases exp(-i E t), and refuses an overflowing E t.
 """
 
 from __future__ import annotations
@@ -66,12 +67,20 @@ def decompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, vectors)
 
 
+def phases(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i rate t) for each rate (row) and time (column); NumericalError on overflow."""
+    with np.errstate(over="ignore"):
+        products = np.outer(rates, times)
+    if not np.isfinite(products).all():
+        raise NumericalError("a spectral phase E t overflows")
+    return np.exp(-1j * products)
+
+
 def spectral_sum(energies: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * exp(-i energies[k] t) at each t of ``times``,
-    evaluated over blocks of _CHUNK times."""
+    """sum_k weights[k] exp(-i energies[k] t) at each t of ``times``, over blocks of _CHUNK."""
     t = np.asarray(times, dtype=float)
     out = np.empty(len(t), dtype=complex)
     for s in range(0, len(t), _CHUNK):
-        out[s : s + _CHUNK] = np.exp(-1j * np.outer(t[s : s + _CHUNK], energies)) @ weights
+        out[s : s + _CHUNK] = phases(t[s : s + _CHUNK], energies) @ weights
     return out
 

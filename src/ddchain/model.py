@@ -100,14 +100,14 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """Real symmetric tridiagonal matrix stored as (diagonal, off_diagonal)."""
+    """Real symmetric tridiagonal matrix stored as read-only copies of (diagonal, off_diagonal)."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.off_diagonal, dtype=float)
+        d = np.array(self.diagonal, dtype=float)
+        e = np.array(self.off_diagonal, dtype=float)
         if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
             raise ValueError(
                 f"need diagonal of length n and off_diagonal of length n-1, "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import SpectralDecomposition, decompose, spectral_sum
+from .eigen import SpectralDecomposition, decompose, phases, spectral_sum
 from .errors import NumericalError
 from .model import (
     ChainSpec,
@@ -73,9 +73,8 @@ def evolve_interval(state: np.ndarray, decomposition: SpectralDecomposition,
     column = np.array(state, dtype=complex).reshape(-1, 1)
     if duration == 0.0:
         return column[:, 0]
-    v = decomposition.eigenvectors
-    phases = np.exp(-1j * (decomposition.eigenvalues * float(duration)))[:, None]
-    return _gemm(v, _gemm(v.T, column) * phases)[:, 0]
+    v, energies = decomposition.eigenvectors, decomposition.eigenvalues
+    return _gemm(v, _gemm(v.T, column) * phases(energies, [float(duration)]))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -192,13 +191,6 @@ def _chebyshev_stepper(diagonal: np.ndarray, abs_off: np.ndarray, duration: floa
     return step
 
 
-def _chebyshev_step(h: TridiagonalHamiltonian, state: np.ndarray, duration: float) -> np.ndarray:
-    """exp(-i h duration) state by ``_chebyshev_stepper`` over h's own
-    Gershgorin interval, built for this one step: the bits of the three-term
-    loop T_n = 2 h' T_(n-1) - T_(n-2) over that interval."""
-    return _chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), duration)(h, state)
-
-
 def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segment=None):
     """Yield (k, fidelities) every ``record_every`` periods and at the last
     period k of ``pulses``, which share one strength and period count;
@@ -223,8 +215,7 @@ def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segm
         if h_free is not h_last:
             h_last, free, w = h_free, decompose(h_free), None
             pulsed = free if h_pulsed is h_free else decompose(h_pulsed)
-            phases = (np.exp(-1j * np.outer(pulsed.eigenvalues, widths)),
-                      np.exp(-1j * np.outer(free.eigenvalues, rests)))
+            phase_blocks = phases(pulsed.eigenvalues, widths), phases(free.eigenvalues, rests)
         elif w is None and pulsed is not free:
             # Not BLAS: a threaded N x N GEMM's bits vary with the thread count.
             w = np.einsum("ki,kj->ij", free.eigenvectors, pulsed.eigenvectors)
@@ -236,7 +227,7 @@ def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segm
                 coeffs = _gemm(dec.eigenvectors.T, sites)
             if on_segment is not None:
                 on_segment(k - 1, segment, dec, coeffs)
-            coeffs *= phases[segment]
+            coeffs *= phase_blocks[segment]
             basis = dec
         if k % record_every == 0 or k == periods:
             yield k, np.abs((free.eigenvectors[0] @ coeffs.view(float)).view(complex))

@@ -329,10 +329,8 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# numpy warns of the overflow (and of inf * 0) before any guard can look.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [
-    # The phases of E t overflow: a NaN state must trip the norm guard.
+    # The phases E t overflow.
     ["delta-tau", "--psi", "1.7e308", "--n", "5", "--m", "2",
      "--delta-steps", "2", "--tau-steps", "2"],
     ["size", "--j", "1e308", "--n-values", "5", "--m", "2"],
@@ -349,6 +347,18 @@ def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
 def test_overflowing_inputs_exit_1_without_files(tmp_path, capsys, args):
     assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
     assert capsys.readouterr().err.startswith("ddchain: error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["kernel", "--n", "6", "--j", "1e150", "--t-max", "1e300", "--dt", "1e298", "--hold", "1e299"],
+    ["delta-tau", "--n", "6", "--m", "1", "--delta-steps", "2", "--tau-steps", "2",
+     "--psi", "1e308"],
+], ids=["kernel", "delta-tau"])
+def test_overflowing_phase_is_named_before_any_warning(tmp_path, capsys, args):
+    # Under the suite's warnings-as-errors a numpy overflow warning fails this too.
+    assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err == "ddchain: error: a spectral phase E t overflows\n"
     assert list(tmp_path.iterdir()) == []
 
 

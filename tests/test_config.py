@@ -62,6 +62,8 @@ def test_kind_must_match_subcommand(tmp_path):
     with pytest.raises(ConfigError, match="kind"):
         parse_config(path, kind="trace")
     assert parse_config(path, kind="size").kind == "size"
+    with pytest.raises(ConfigError, match="unknown kind 'bogus'; expected one of delta-tau, "):
+        parse_config(write(tmp_path, "kind=bogus\n", "bogus.cfg"))
 
 
 def test_missing_kind_is_an_error():

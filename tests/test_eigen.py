@@ -6,7 +6,7 @@ import scipy.linalg
 
 import ddchain.kernel
 import ddchain.propagate
-from ddchain.eigen import _CHUNK, SpectralDecomposition, decompose, spectral_sum
+from ddchain.eigen import _CHUNK, SpectralDecomposition, decompose, phases, spectral_sum
 from ddchain.errors import NumericalError
 from ddchain.kernel import kernel_values
 from ddchain.model import (
@@ -191,6 +191,21 @@ def test_spectral_sum_matches_one_dense_product_bitwise():
     dense_sum = np.exp(-1j * np.outer(times, energies)) @ weights
     assert spectral_sum(energies, weights, times).tobytes() == dense_sum.tobytes()
     assert spectral_sum(energies, weights, np.array([])).shape == (0,)
+
+
+def test_phases_keep_the_bits_of_each_former_expression_and_refuse_overflow():
+    rng = np.random.default_rng(8)
+    rates, times = rng.uniform(-30, 30, 21), rng.uniform(0, 1e3, 9)
+    assert phases(rates, times).tobytes() == np.exp(-1j * np.outer(rates, times)).tobytes()
+    assert phases(times, rates).tobytes() == np.exp(-1j * np.outer(times, rates)).tobytes()
+    column = np.exp(-1j * (rates * 1.7))[:, None]  # evolve_interval's former column
+    assert phases(rates, [1.7]).tobytes() == column.tobytes()
+    assert np.all(np.isfinite(phases(np.array([-1e308, 1e308]), [1.0])))
+    for big in (np.array([0.5, 1e308]), np.array([-1e308, 0.0])):
+        with pytest.raises(NumericalError, match="a spectral phase E t overflows"):
+            phases(big, [0.0, 2.0])
+        with pytest.raises(NumericalError, match="a spectral phase E t overflows"):
+            phases([2.0], big)
 
 
 # A pulse is a rank-one update of the free chain: H_p = H_f + psi e0 e0^T. With

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ddchain.kernel as kernel_module
+from ddchain.eigen import SpectralDecomposition, decompose
 from ddchain.errors import NumericalError
 from ddchain.kernel import (
     _LEAF,
@@ -110,6 +111,8 @@ def test_lifetime_needs_room_for_hold_window():
     assert estimate_lifetime(samples, 0.1, 0.02, 1e308) is None  # hold / dt overflows
     with pytest.raises(ValueError):
         estimate_lifetime(samples, 0.1, 1.5, 0.2)
+    with pytest.raises(ValueError, match="hold must be >= dt=0.1, got 0.05"):
+        estimate_lifetime(samples, 0.1, 0.02, 0.05)
 
 
 @pytest.mark.parametrize("extra, expected", [(-1, None), (0, 0.1), (1, 0.1)])
@@ -210,11 +213,22 @@ def test_p_equation_guard_rejects_nan_amplitudes():
         solve_p_equation(g, free_train(5.0), 5.0, 0.5)
 
 
-def test_kernel_scale_overflow_is_a_numerical_error():
+def test_kernel_scale_overflow_is_a_numerical_error(monkeypatch):
     # J^2 = inf would scale the sum to inf and NaN samples.
     with pytest.raises(NumericalError, match="overflows"):
         kernel_values(free_env(4), 1e160, np.linspace(0.0, 1.0, 5))
     assert np.all(np.isfinite(kernel_values(free_env(4), 1e150, np.linspace(0.0, 1.0, 5))))
+    # So would a phase E t: the eigenvalues near 1e150 times t = 1e300.
+    with pytest.raises(NumericalError, match="a spectral phase E t overflows"):
+        kernel_study(ChainSpec(n_sites=6, coupling=1e150), 1e298, 1e300, 0.02, 1e299)
+
+    def scaled(h):
+        dec = decompose(h)
+        return SpectralDecomposition(dec.eigenvalues, 1.001 * dec.eigenvectors)
+
+    monkeypatch.setattr(kernel_module, "decompose", scaled)
+    with pytest.raises(NumericalError, match="first-row weights sum to 1.002.*, expected 1"):
+        kernel_values(free_env(4), 1.0, np.linspace(0.0, 1.0, 5))
 
 
 def test_p_equation_instability_guard_fails_at_the_oracle_step():

@@ -10,6 +10,7 @@ from ddchain.model import (
     environment_block,
     sample_period_noise,
     sample_static_disorder,
+    time_grid,
 )
 
 
@@ -100,6 +101,14 @@ def test_hamiltonian_shape_validation():
         TridiagonalHamiltonian(np.array([0.0, float("nan")]), np.zeros(1))
 
 
+def test_hamiltonian_owns_its_arrays():
+    d, e = np.zeros(3), np.ones(2)
+    h = TridiagonalHamiltonian(d, e)
+    d[0], e[0] = 1.0, 5.0  # the caller's arrays stay writable
+    assert np.array_equal(h.diagonal, np.zeros(3)) and np.array_equal(h.off_diagonal, np.ones(2))
+    assert not (h.diagonal.flags.writeable or h.off_diagonal.flags.writeable)
+
+
 def test_static_disorder_zero_amplitudes():
     bonds, sites = sample_static_disorder(ChainSpec(n_sites=6, seed=3))
     assert np.array_equal(bonds, np.zeros(5))
@@ -147,3 +156,15 @@ def test_environment_block():
     env = environment_block(h)
     assert np.array_equal(env.diagonal, [0.2, 0.3, 0.4])
     assert np.array_equal(env.off_diagonal, [1.0, 1.0])
+    with pytest.raises(ValueError, match="need at least 2 sites to take an environment block"):
+        environment_block(TridiagonalHamiltonian(np.array([0.7]), np.zeros(0)))
+
+
+@pytest.mark.parametrize("dt, t_max, message", [
+    (0.0, 1.0, "dt and t_max must be > 0"), (-0.1, 1.0, "dt and t_max must be > 0"),
+    (0.1, 0.0, "dt and t_max must be > 0"), (0.1, -1.0, "dt and t_max must be > 0"),
+    (1e-310, 1e10, "t_max / dt overflows: t_max=1e[+]10, dt=1e-310"),
+])
+def test_time_grid_rejects_bad_steps(dt, t_max, message):
+    with pytest.raises(ValueError, match=message):
+        time_grid(dt, t_max)

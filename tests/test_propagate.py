@@ -288,6 +288,19 @@ def test_norm_drift_raises_numerical_error(monkeypatch):
         site_amplitude_trace(ChainSpec(n_sites=8), PulseSpec(5.0, 1.0, 0.5, 3), 0.1, 3.0)
 
 
+def test_overflowing_phase_raises_numerical_error():
+    # An eigenvalue near 1.7e308 times a width of 1.2: E t overflows to inf.
+    chain, pulse = ChainSpec(n_sites=6), PulseSpec(1.7e308, 1.3, 1.2, 1)
+    dec = decompose(build_controlled_hamiltonian(chain, pulse))
+    for run in (lambda: final_fidelity(chain, pulse),
+                lambda: sweeps.sweep_delta_tau(chain, 1e308, 1, [0.02, 2.0], [0.02, 2.5]),
+                lambda: site_amplitude_trace(chain, pulse, 0.1, 1.3),
+                lambda: run_protocol(replace(chain, per_period_noise=0.1), pulse),
+                lambda: evolve_interval(initial_state(6), dec, 1.2)):
+        with pytest.raises(NumericalError, match="a spectral phase E t overflows"):
+            run()
+
+
 def test_chebyshev_norm_drift_raises_numerical_error(monkeypatch):
     real_stepper, calls = propagate._chebyshev_stepper, itertools.count()
 
@@ -338,7 +351,8 @@ def test_chebyshev_step_matches_three_term_loop_bit_for_bit(n):
             for rt in (1e-12, 1e-9, 1e-3, 0.7, 5.0, 31.0, 100.0, cutoff):
                 state = rng.normal(size=n) + 1j * rng.normal(size=n)
                 duration = rt / ((hi - lo) / 2)
-                out = propagate._chebyshev_step(h, state, duration)
+                step = propagate._chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), duration)
+                out = step(h, state)
                 assert np.array_equal(out, reference_chebyshev_step(h, state, duration)), (chain, rt)
 
 
@@ -408,7 +422,8 @@ def test_chebyshev_step_matches_spectral_step(monkeypatch):
         state /= np.linalg.norm(state)
         for h in next(hams):
             expected = evolve_interval(state, decompose(h), duration)
-            assert np.abs(propagate._chebyshev_step(h, state, duration) - expected).max() <= 1e-12
+            step = propagate._chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), duration)
+            assert np.abs(step(h, state) - expected).max() <= 1e-12
 
     check()
 
@@ -427,7 +442,8 @@ def test_long_noisy_segments_step_spectrally(monkeypatch):
     state = initial_state(130)
     expected = evolve_interval(state, decompose(h), 45.0)  # r * duration = 247.5
     monkeypatch.setattr(propagate, "_bessel_series", short_series)
-    assert np.abs(propagate._chebyshev_step(h, state, 45.0) - expected).max() <= 1e-12
+    step = propagate._chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), 45.0)
+    assert np.abs(step(h, state) - expected).max() <= 1e-12
     record = run_protocol(ChainSpec(n_sites=40, per_period_noise=0.1), PulseSpec(1e300, 1.3, 1.2, 2))
     assert np.all(np.isfinite(record.fidelities))
 
@@ -436,7 +452,7 @@ def test_chebyshev_zero_duration_is_an_exact_copy():
     chain = ChainSpec(n_sites=7, band_broadening=0.3)
     h = build_controlled_hamiltonian(chain, PulseSpec(4.0, 1.0, 1.0, 1))
     state = np.linspace(0.1, 0.7, 7) * (1 - 2j)
-    out = propagate._chebyshev_step(h, state, 0.0)
+    out = propagate._chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), 0.0)(h, state)
     assert np.array_equal(out, state) and out is not state
 
 
