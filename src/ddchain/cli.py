@@ -23,8 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from ._version import __version__
-from .config import (KINDS, LEGACY_KEYS, RESULT_PREFIX, SINGLE_PULSE_KINDS, ConfigError,
-                     RunConfig, config_to_lines, parse_config)
+from .config import (KINDS, RESULT_PREFIX, SINGLE_PULSE_KINDS, ConfigError, RunConfig,
+                     config_to_lines, parse_config)
 from .errors import DdchainError
 from .model import ChainSpec, PulseSpec
 from .sweeps import (
@@ -77,9 +77,9 @@ def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict
                 os.remove(temp)
 
 
-def run(cfg: RunConfig) -> str:
-    """Execute one configured experiment; returns a one-line summary of the
-    ``result.*`` keys it recorded (all but the version)."""
+def run(cfg: RunConfig, workers: int = 1) -> str:
+    """Execute one configured experiment, a grid sweep on up to ``workers`` threads;
+    returns a one-line summary of the ``result.*`` keys it recorded (all but the version)."""
     started = time.perf_counter()
     results: dict[str, str] = {"version": __version__}
     chain = ChainSpec(n_sites=cfg.n, coupling=cfg.j, static_coupling_disorder=cfg.gamma,
@@ -91,14 +91,14 @@ def run(cfg: RunConfig) -> str:
         sweep = sweep_delta_tau(
             chain, cfg.psi, cfg.m,
             np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps),
-            np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps),
+            np.linspace(cfg.tau_min, cfg.tau_max, cfg.tau_steps), workers,
         )
         columns = _grid_columns(("delta", "tau"), sweep, results)
     elif cfg.kind == "ratio-psi":
         sweep = sweep_ratio_psi(
             chain, cfg.delta, cfg.m,
             np.linspace(cfg.ratio_min, cfg.ratio_max, cfg.ratio_steps),
-            np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps),
+            np.linspace(cfg.psi_min, cfg.psi_max, cfg.psi_steps), workers,
         )
         columns = _grid_columns(("ratio", "psi"), sweep, results)
     elif cfg.kind == "size":
@@ -129,12 +129,13 @@ def run(cfg: RunConfig) -> str:
 
 def _grid_columns(names: tuple[str, str], sweep: SweepResult, results: dict[str, str]):
     """CSV columns (axis2 varying fastest) of a 2-D sweep, headed by the two
-    axis ``names`` and ``fidelity``; records its cell counts."""
+    axis ``names`` and ``fidelity``; records its cell and thread counts."""
     columns = {names[0]: np.repeat(sweep.axis1, len(sweep.axis2)),
                names[1]: np.tile(sweep.axis2, len(sweep.axis1)),
                "fidelity": sweep.fidelities.ravel()}
     results["cells"] = str(sweep.fidelities.size)
     results["infeasible_cells"] = str(int(np.isnan(sweep.fidelities).sum()))
+    results["threads"] = str(sweep.threads)
     return columns
 
 
@@ -148,8 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind, help_text in KINDS.items():
         p = sub.add_parser(kind, help=help_text)
         p.add_argument("--config", help="key=value config file (flags override it)")
-        for key in _FLAG_KEYS + LEGACY_KEYS:  # legacy flags are parsed, then dropped
+        for key in _FLAG_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V")
+        p.add_argument("--workers", default="1", metavar="V")  # a run option, not a config key
     return parser
 
 
@@ -161,12 +163,14 @@ def main(argv=None) -> int:
         return 2
     overrides = {key: getattr(namespace, key) for key in _FLAG_KEYS}
     try:
+        if not (namespace.workers.isdecimal() and int(namespace.workers) >= 1):
+            raise ConfigError(f"--workers must be a positive integer, got {namespace.workers!r}")
         cfg = parse_config(namespace.config, overrides, kind=namespace.command)
     except (ConfigError, OSError) as exc:
         print(f"ddchain: error: {exc}", file=sys.stderr)
         return 2
     try:
-        print(run(cfg))
+        print(run(cfg, int(namespace.workers)))
     except (DdchainError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"ddchain: error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ KINDS = {
 }
 
 RESULT_PREFIX = "result."
-LEGACY_KEYS = ("workers",)  # accepted from old configs, sidecars and flags; no effect
+LEGACY_KEYS = ("workers",)  # skipped in configs and sidecars; --workers is a run option
 
 
 class ConfigError(DdchainError):

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -264,17 +266,46 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     return EvolutionRecord(np.array(ks) * pulse.period, np.array(fids))
 
 
-def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec]) -> np.ndarray:
-    """Survival fidelity after the last period of each pulse's protocol on
-    ``chain``, in order; pulses sharing a strength and period count run as
-    one batch."""
-    out = np.empty(len(pulses))
+def slab_plan(chain: ChainSpec, pulses: list[PulseSpec], workers: int) -> tuple[int, list]:
+    """(threads, tasks): at most ``workers`` threads and usable CPUs, and a task per group of
+    ``pulses`` of one strength and period count, cut (unless noisy: each slab would redo the
+    eigensolves) into ceil(threads / groups) slabs that start on _BLOCK bounds: no bit moves."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     groups: dict[tuple[float, int], list[int]] = {}
     for i, pulse in enumerate(pulses):
         groups.setdefault((pulse.strength, pulse.periods), []).append(i)
-    for (_, periods), cells in groups.items():
-        _, fids = list(_batch(chain, [pulses[i] for i in cells], periods))[-1]
-        out[cells] = fids[: len(cells)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cuts = -(-min(workers, cpus) // len(groups)) if groups and chain.per_period_noise == 0 else 1
+    tasks = [cells[i:i + size] for cells in groups.values()
+             for size in [_BLOCK * -(-len(cells) // (_BLOCK * cuts))]
+             for i in range(0, len(cells), size)]
+    return min(workers, cpus, len(tasks)) or 1, tasks
+
+
+def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1) -> np.ndarray:
+    """Survival fidelity after the last period of each pulse's protocol on ``chain``, in
+    order. Each task of ``slab_plan`` runs as one batch on its threads, this one among them;
+    after the first exception no task starts, and it is raised once all have joined."""
+    threads, tasks = slab_plan(chain, pulses, workers)
+    out, errors, pending = np.empty(len(pulses)), [], iter(tasks)
+
+    def work():
+        while not errors and (cells := next(pending, None)) is not None:
+            try:
+                *_, (_, fids) = _batch(chain, [pulses[i] for i in cells], pulses[cells[0]].periods)
+                out[cells] = fids[: len(cells)]
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 

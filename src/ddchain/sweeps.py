@@ -2,10 +2,10 @@
 
 Each study takes the chain it runs on, a ``ChainSpec``, first, and
 produces a plain table of results from a grid of independent protocol
-runs. The cells of a grid go to ``propagate.final_fidelities``
-in one call, which advances every cell of one pulse strength together
-as a block; each cell's value is a pure function of its parameters and
-does not depend on which other cells share its block. Infeasible cells
+runs. The cells of a grid go to ``propagate.final_fidelities`` in one
+call, which advances the cells of one pulse strength together as blocks,
+on up to ``workers`` threads; each cell's value is a pure function of its
+parameters, whatever its block-mates or the thread count. Infeasible cells
 (pulse width exceeding the period) are kept in the table as NaN
 sentinels rather than dropped.
 """
@@ -25,7 +25,7 @@ from .model import (
     sample_static_disorder,
     time_grid,
 )
-from .propagate import final_fidelities, run_protocol, site_amplitude_trace
+from .propagate import final_fidelities, run_protocol, site_amplitude_trace, slab_plan
 
 INFEASIBLE = float("nan")
 
@@ -35,6 +35,7 @@ class SweepResult:
     axis1: np.ndarray
     axis2: np.ndarray
     fidelities: np.ndarray  # shape (len(axis1), len(axis2)), NaN = infeasible
+    threads: int  # the threads its cells ran on
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class PqComparison:
     abs_error: np.ndarray
 
 
-def _sweep_grid(chain: ChainSpec, axis1, axis2, pulse_at) -> SweepResult:
-    """Final fidelity at every (axis1, axis2) cell. ``pulse_at(x, y)`` gives
-    the cell's pulse, or None for an infeasible cell (a NaN sentinel)."""
+def _sweep_grid(chain: ChainSpec, axis1, axis2, pulse_at, workers: int) -> SweepResult:
+    """Final fidelity at every (axis1, axis2) cell, on up to ``workers`` threads.
+    ``pulse_at(x, y)`` gives the cell's pulse, or None for an infeasible cell (a NaN)."""
     axes = [np.asarray(values, dtype=float) for values in (axis1, axis2)]
     for which, v in zip(("first", "second"), axes):
         if v.ndim != 1 or len(v) == 0:
@@ -76,24 +77,26 @@ def _sweep_grid(chain: ChainSpec, axis1, axis2, pulse_at) -> SweepResult:
     table = np.full((len(axes[0]), len(axes[1])), INFEASIBLE)
     cells = {(a, b): pulse for a, x in enumerate(axes[0]) for b, y in enumerate(axes[1])
              if (pulse := pulse_at(x, y)) is not None}
-    for slot, value in zip(cells, final_fidelities(chain, list(cells.values()))):
+    pulses = list(cells.values())
+    for slot, value in zip(cells, final_fidelities(chain, pulses, workers)):
         table[slot] = value
-    return SweepResult(*axes, table)
+    return SweepResult(*axes, table, slab_plan(chain, pulses, workers)[0])
 
 
-def sweep_delta_tau(chain: ChainSpec, psi: float, m: int, delta_values, tau_values) -> SweepResult:
+def sweep_delta_tau(chain: ChainSpec, psi: float, m: int, delta_values, tau_values,
+                    workers: int = 1) -> SweepResult:
     """Final fidelity over a (width, period) grid at fixed strength."""
-    return _sweep_grid(chain, delta_values, tau_values,
-                       lambda delta, tau: None if delta > tau else PulseSpec(psi, tau, delta, m))
+    return _sweep_grid(chain, delta_values, tau_values, lambda delta, tau: None if delta > tau
+                       else PulseSpec(psi, tau, delta, m), workers)
 
 
 def sweep_ratio_psi(chain: ChainSpec, delta: float, m: int, ratio_values,
-                    psi_values) -> SweepResult:
+                    psi_values, workers: int = 1) -> SweepResult:
     """Final fidelity over (period/width ratio, strength) at fixed width."""
     if np.any(np.asarray(ratio_values, dtype=float) < 1.0):
         raise ValueError("ratios must be >= 1 so the width fits in the period")
     return _sweep_grid(chain, ratio_values, psi_values,
-                       lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m))
+                       lambda ratio, psi: PulseSpec(psi, ratio * delta, delta, m), workers)
 
 
 def sweep_size(chain: ChainSpec, pulse: PulseSpec, n_values) -> SizeSweep:

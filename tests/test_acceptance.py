@@ -152,18 +152,23 @@ def test_criterion_8_deterministic_csv_output(tmp_path):
     ]
     src = str(Path(ddchain.__file__).resolve().parents[1])
     outputs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):  # a rerun, then 2 threads
+    # A serial run, its rerun, then 2 BLAS threads, then the 10 feasible cells cut
+    # into slabs on up to 4 threads.
+    for name, threads, workers in (("a", "1", "1"), ("b", "1", "1"), ("c", "2", "1"),
+                                   ("d", "1", "4")):
         out = tmp_path / f"{name}.csv"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "ddchain", *args, "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=120)
+        subprocess.run([sys.executable, "-m", "ddchain", *args, "--workers", workers,
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
         outputs.append(out.read_bytes())
     rerun_identical = outputs[0] == outputs[1]
     threads_identical = outputs[0] == outputs[2]
+    workers_identical = outputs[0] == outputs[3]
     check(
         "identical config and seed give byte-identical CSV",
-        rerun_identical and threads_identical,
+        rerun_identical and threads_identical and workers_identical,
         f"rerun identical = {rerun_identical}, "
-        f"BLAS-thread-count independent = {threads_identical}",
+        f"BLAS-thread-count independent = {threads_identical}, "
+        f"worker-count independent = {workers_identical}",
     )

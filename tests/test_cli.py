@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -98,21 +99,53 @@ def test_sidecar_reruns_to_identical_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_legacy_workers_flag_and_key_are_accepted_and_ignored(tmp_path):
+def usable_cpus(monkeypatch, count):
+    """Make the slab plan see ``count`` usable CPUs, so threads start on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_workers_flag_keeps_bytes_and_legacy_key_is_ignored(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 4)
     args = ["delta-tau", "--n", "16", "--m", "8",
             "--delta-min", "0.2", "--delta-max", "1.4", "--delta-steps", "4",
-            "--tau-min", "0.3", "--tau-max", "1.2", "--tau-steps", "4"]
+            "--tau-min", "0.3", "--tau-max", "1.5", "--tau-steps", "4"]
     out1 = tmp_path / "plain.csv"
     out2 = tmp_path / "w3.csv"
     assert run_cli(*args, "--out", str(out1)) == 0
     assert run_cli(*args, "--workers", "3", "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    # The retired key is not written, and an old sidecar that holds it still reruns.
+    # --workers is a run option: the sidecar records the threads the 10 feasible
+    # cells ran on (a slab of 8 and one of 2), not a workers key.
     meta = Path(sidecar_path(str(out2)))
     assert "workers=" not in meta.read_text(encoding="utf-8")
+    assert re.search(r"^result\.threads=2$", meta.read_text(encoding="utf-8"), re.MULTILINE)
+    assert "result.threads=1\n" in Path(sidecar_path(str(out1))).read_text(encoding="utf-8")
+    # An old sidecar that holds the retired key still reruns.
     meta.write_text(meta.read_text(encoding="utf-8") + "workers=4\n", encoding="utf-8")
     assert run_cli("delta-tau", "--config", str(meta), "--out", str(out1)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "1.5", "abc", "", "²"])
+def test_workers_must_be_a_positive_integer(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    assert run_cli("delta-tau", "--delta-steps", "2", "--tau-steps", "2", "--m", "1",
+                   "--workers", workers, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"ddchain: error: --workers must be a positive integer, got {workers!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_threaded_grid_exits_1_and_joins_its_threads(tmp_path, capsys, monkeypatch):
+    # E t overflows in every slab of the 15 feasible cells: both threads fail.
+    usable_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    assert run_cli("delta-tau", "--psi", "1.7e308", "--n", "5", "--m", "2",
+                   "--delta-steps", "4", "--tau-steps", "6", "--workers", "2",
+                   "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err == "ddchain: error: a spectral phase E t overflows\n"
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == before
 
 
 def test_blas_thread_count_does_not_change_csv(tmp_path):

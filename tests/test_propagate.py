@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +262,78 @@ def test_batched_cells_are_bit_equal_to_cells_run_alone():
     assert len(pulses) == 195
     for pulse, value in zip(pulses, batched):
         assert value.tobytes() == np.float64(final_fidelity(chain, pulse)).tobytes(), pulse
+
+
+def usable_cpus(monkeypatch, count):
+    """Make the slab plan see ``count`` usable CPUs, so threads start on any host."""
+    monkeypatch.setattr(propagate.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def grid(psis, m=6):
+    return [PulseSpec(psi, tau, delta, m) for psi in psis
+            for delta in np.linspace(0.0, 1.5, 6) for tau in np.linspace(0.3, 1.8, 6)
+            if delta <= tau]
+
+
+@pytest.mark.parametrize("chain, pulses, slabs", [
+    # One static group of 21 cells, not a multiple of _BLOCK.
+    (ChainSpec(n_sites=130), grid([8.0], m=12)[:21], {2: [16, 5], 3: [8, 8, 5]}),
+    # A static grid of two strengths, psi = 0 among them: cut at 3 workers.
+    (ChainSpec(n_sites=30, static_coupling_disorder=0.3, band_broadening=0.4, seed=5),
+     grid([0.0, 8.0]), {2: [26, 26], 3: [16, 10, 16, 10]}),
+    # A noisy grid of two groups: one whole group per thread.
+    (ChainSpec(n_sites=20, per_period_noise=0.1, seed=7), grid([3.0, 8.0]),
+     {2: [26, 26], 3: [26, 26]}),
+], ids=["static-group", "static-strengths", "noisy-groups"])
+def test_threaded_slabs_are_bit_equal_to_one_thread(monkeypatch, chain, pulses, slabs):
+    usable_cpus(monkeypatch, 8)
+    serial = final_fidelities(chain, pulses)
+    for workers in (2, 3):
+        threads, tasks = propagate.slab_plan(chain, pulses, workers)
+        assert [len(task) for task in tasks] == slabs[workers]
+        assert threads == min(workers, len(tasks))
+        assert final_fidelities(chain, pulses, workers).tobytes() == serial.tobytes(), workers
+
+
+def test_more_threads_than_cores_run_every_task_once(monkeypatch):
+    # 24 strength groups on 8 threads, switching threads every microsecond: a task
+    # taken twice or lost would show in the call count or leave a cell unwritten.
+    usable_cpus(monkeypatch, 8)
+    chain = ChainSpec(n_sites=10, static_coupling_disorder=0.2, seed=2)
+    pulses = grid(np.linspace(0.0, 12.0, 24), m=3)
+    serial = final_fidelities(chain, pulses)
+    calls, batch = [], propagate._batch
+    monkeypatch.setattr(propagate, "_batch", lambda *args: calls.append(1) or batch(*args))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert final_fidelities(chain, pulses, 8).tobytes() == serial.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 5 * 24
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_slab_plan_caps_threads_and_aligns_slabs(monkeypatch, noisy):
+    chain = ChainSpec(n_sites=8, per_period_noise=0.1 if noisy else 0.0)
+    pulses = grid([0.0, 3.0, 8.0], m=2)  # three groups of 26 cells
+    monkeypatch.setattr(propagate.threading, "Thread", None)  # planning starts no thread
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert 1 <= propagate.slab_plan(chain, pulses, 10 ** 6)[0] <= cpus
+    usable_cpus(monkeypatch, 8)
+    for workers, threads, sizes in [(1, 1, [26] * 3), (3, 3, [26] * 3),
+                                    (4, 6, [16, 10] * 3), (10 ** 6, 6, [16, 10] * 3)]:
+        plan_threads, tasks = propagate.slab_plan(chain, pulses, workers)
+        if noisy:  # a noisy group is never cut
+            threads, sizes = min(threads, 3), [26] * 3
+        assert (plan_threads, [len(task) for task in tasks]) == (min(workers, threads), sizes)
+        # The slabs of a group cover it in order, so each cell keeps its column in its block.
+        assert [i for task in tasks for i in task] == list(range(len(pulses)))
+    assert propagate.slab_plan(chain, [], 4) == (1, [])
+    with pytest.raises(ValueError, match="must be >= 1"):
+        propagate.slab_plan(chain, pulses, 0)
 
 
 def test_final_fidelity_is_last_recorded_fidelity():
