@@ -151,7 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file (flags override it)")
         for key in _FLAG_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V")
-        p.add_argument("--workers", default="1", metavar="V")  # a run option, not a config key
+        p.add_argument("--workers", default="1", metavar="V", help=(
+            "threads for a delta-tau or ratio-psi grid, each running whole strength blocks or"
+            " 8-cell slabs of them (a run option, not a config key); pin"
+            " OPENBLAS_NUM_THREADS=1 with it, or BLAS threads oversubscribe the cores"))
     return parser
 
 

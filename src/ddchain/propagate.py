@@ -266,10 +266,13 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     return EvolutionRecord(np.array(ks) * pulse.period, np.array(fids))
 
 
-def slab_plan(chain: ChainSpec, pulses: list[PulseSpec], workers: int) -> tuple[int, list]:
-    """(threads, tasks): at most ``workers`` threads and usable CPUs, and a task per group of
-    ``pulses`` of one strength and period count, cut (unless noisy: each slab would redo the
-    eigensolves) into ceil(threads / groups) slabs that start on _BLOCK bounds: no bit moves."""
+def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
+                     ) -> tuple[np.ndarray, int]:
+    """(fidelities, threads): each pulse's survival fidelity after its last period on ``chain``,
+    in order, and the threads that ran them, at most ``workers`` and the usable CPUs. A task is
+    a group of ``pulses`` of one strength and period count, cut (unless noisy: each slab would
+    redo the eigensolves) into ceil(threads / groups) slabs that start on _BLOCK bounds: no bit
+    moves. After the first exception no task starts, and it is raised once all have joined."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     groups: dict[tuple[float, int], list[int]] = {}
@@ -280,14 +283,7 @@ def slab_plan(chain: ChainSpec, pulses: list[PulseSpec], workers: int) -> tuple[
     tasks = [cells[i:i + size] for cells in groups.values()
              for size in [_BLOCK * -(-len(cells) // (_BLOCK * cuts))]
              for i in range(0, len(cells), size)]
-    return min(workers, cpus, len(tasks)) or 1, tasks
-
-
-def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1) -> np.ndarray:
-    """Survival fidelity after the last period of each pulse's protocol on ``chain``, in
-    order. Each task of ``slab_plan`` runs as one batch on its threads, this one among them;
-    after the first exception no task starts, and it is raised once all have joined."""
-    threads, tasks = slab_plan(chain, pulses, workers)
+    threads = min(workers, cpus, len(tasks)) or 1
     out, errors, pending = np.empty(len(pulses)), [], iter(tasks)
 
     def work():
@@ -306,12 +302,12 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
         helper.join()
     if errors:
         raise errors[0]
-    return out
+    return out, threads
 
 
 def final_fidelity(chain: ChainSpec, pulse: PulseSpec) -> float:
     """Survival fidelity after the last protocol period."""
-    return float(final_fidelities(chain, [pulse])[0])
+    return float(final_fidelities(chain, [pulse])[0][0])
 
 
 def site_amplitude_trace(chain: ChainSpec, pulse: PulseSpec, dt: float, t_max: float) -> np.ndarray:

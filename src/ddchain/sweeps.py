@@ -1,13 +1,13 @@
 """Sweep jobs over the protocol parameter space.
 
 Each study takes the chain it runs on, a ``ChainSpec``, first, and
-produces a plain table of results from a grid of independent protocol
-runs. The cells of a grid go to ``propagate.final_fidelities`` in one
-call, which advances the cells of one pulse strength together as blocks,
-on up to ``workers`` threads; each cell's value is a pure function of its
-parameters, whatever its block-mates or the thread count. Infeasible cells
-(pulse width exceeding the period) are kept in the table as NaN
-sentinels rather than dropped.
+produces a plain table of results from independent protocol runs. A
+single train, as in the size scan, runs through ``propagate.run_protocol``.
+The cells of a grid go to ``propagate.final_fidelities`` in one call,
+which advances the cells of one pulse strength together as blocks, on up
+to ``workers`` threads; each cell's value is a pure function of its
+parameters, whatever its block-mates or the thread count. Infeasible
+cells (pulse width exceeding the period) are kept as NaN sentinels.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import (
     sample_static_disorder,
     time_grid,
 )
-from .propagate import final_fidelities, run_protocol, site_amplitude_trace, slab_plan
+from .propagate import final_fidelities, run_protocol, site_amplitude_trace
 
 INFEASIBLE = float("nan")
 
@@ -77,10 +77,10 @@ def _sweep_grid(chain: ChainSpec, axis1, axis2, pulse_at, workers: int) -> Sweep
     table = np.full((len(axes[0]), len(axes[1])), INFEASIBLE)
     cells = {(a, b): pulse for a, x in enumerate(axes[0]) for b, y in enumerate(axes[1])
              if (pulse := pulse_at(x, y)) is not None}
-    pulses = list(cells.values())
-    for slot, value in zip(cells, final_fidelities(chain, pulses, workers)):
+    fidelities, threads = final_fidelities(chain, list(cells.values()), workers)
+    for slot, value in zip(cells, fidelities):
         table[slot] = value
-    return SweepResult(*axes, table, slab_plan(chain, pulses, workers)[0])
+    return SweepResult(*axes, table, threads)
 
 
 def sweep_delta_tau(chain: ChainSpec, psi: float, m: int, delta_values, tau_values,
@@ -102,11 +102,11 @@ def sweep_ratio_psi(chain: ChainSpec, delta: float, m: int, ratio_values,
 def sweep_size(chain: ChainSpec, pulse: PulseSpec, n_values) -> SizeSweep:
     """Free and controlled final fidelity of ``chain`` resized to each of
     ``n_values``; ``chain.n_sites`` is not used. The free run is ``pulse``
-    at zero strength."""
+    at zero strength; each run is a single train of ``run_protocol``."""
     n_values = np.asarray(n_values, dtype=int)
     pulses = [replace(pulse, strength=0.0), pulse]
-    pairs = np.array([final_fidelities(replace(chain, n_sites=int(n)), pulses)
-                      for n in n_values]).reshape(len(n_values), 2)
+    pairs = np.array([[run_protocol(replace(chain, n_sites=int(n)), p, p.periods).fidelities[-1]
+                       for p in pulses] for n in n_values]).reshape(len(n_values), 2)
     return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 
 

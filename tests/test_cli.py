@@ -99,13 +99,8 @@ def test_sidecar_reruns_to_identical_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def usable_cpus(monkeypatch, count):
-    """Make the slab plan see ``count`` usable CPUs, so threads start on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_workers_flag_keeps_bytes_and_legacy_key_is_ignored(tmp_path, monkeypatch):
-    usable_cpus(monkeypatch, 4)
+def test_workers_flag_keeps_bytes_and_legacy_key_is_ignored(tmp_path, usable_cpus):
+    usable_cpus(4)
     args = ["delta-tau", "--n", "16", "--m", "8",
             "--delta-min", "0.2", "--delta-max", "1.4", "--delta-steps", "4",
             "--tau-min", "0.3", "--tau-max", "1.5", "--tau-steps", "4"]
@@ -136,9 +131,9 @@ def test_workers_must_be_a_positive_integer(tmp_path, capsys, workers):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failing_threaded_grid_exits_1_and_joins_its_threads(tmp_path, capsys, monkeypatch):
+def test_failing_threaded_grid_exits_1_and_joins_its_threads(tmp_path, capsys, usable_cpus):
     # E t overflows in every slab of the 15 feasible cells: both threads fail.
-    usable_cpus(monkeypatch, 2)
+    usable_cpus(2)
     before = threading.active_count()
     assert run_cli("delta-tau", "--psi", "1.7e308", "--n", "5", "--m", "2",
                    "--delta-steps", "4", "--tau-steps", "6", "--workers", "2",

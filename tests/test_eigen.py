@@ -144,8 +144,8 @@ def test_outputs_are_invariant_under_eigenvector_sign_flips(monkeypatch):
     def outputs():
         pq = pq_check(chain, pulse, 0.01, 3.9)
         return [
-            final_fidelities(chain, pulses),
-            final_fidelities(noisy, pulses),
+            final_fidelities(chain, pulses)[0],
+            final_fidelities(noisy, pulses)[0],
             run_protocol(noisy, pulse).fidelities,
             site_amplitude_trace(chain, pulse, 0.01, 7.8),
             site_amplitude_trace(chain, PulseSpec(0.0, 5.0, 0.0, 1), 0.01, 5.0),

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_batched_delta_tau_grid_matches_per_cell_oracle(chain):
               for psi in (0.0, 3.0, 8.0)
               for delta in (0.0, 0.4, 0.9)
               for tau in (0.4, 0.9, 1.3) if delta <= tau]
-    batched = final_fidelities(chain, pulses)
+    batched = final_fidelities(chain, pulses)[0]
     oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
     assert np.abs(batched - oracle).max() <= 1e-12
 
@@ -248,7 +249,7 @@ def test_batched_ratio_psi_grid_matches_per_cell_oracle(chain):
     delta = 0.3
     pulses = [PulseSpec(psi, ratio * delta, delta, 5)
               for ratio in (1.0, 1.5, 2.5) for psi in (0.0, 2.0, 6.0, 15.0)]
-    batched = final_fidelities(chain, pulses)
+    batched = final_fidelities(chain, pulses)[0]
     oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
     assert np.abs(batched - oracle).max() <= 1e-12
 
@@ -258,22 +259,29 @@ def test_batched_cells_are_bit_equal_to_cells_run_alone():
     pulses = [PulseSpec(8.0, tau, delta, 16)
               for delta in np.linspace(0.02, 2.0, 18)
               for tau in np.linspace(0.02, 2.5, 18) if delta <= tau]
-    batched = final_fidelities(chain, pulses)
+    batched = final_fidelities(chain, pulses)[0]
     assert len(pulses) == 195
     for pulse, value in zip(pulses, batched):
         assert value.tobytes() == np.float64(final_fidelity(chain, pulse)).tobytes(), pulse
-
-
-def usable_cpus(monkeypatch, count):
-    """Make the slab plan see ``count`` usable CPUs, so threads start on any host."""
-    monkeypatch.setattr(propagate.os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
 
 
 def grid(psis, m=6):
     return [PulseSpec(psi, tau, delta, m) for psi in psis
             for delta in np.linspace(0.0, 1.5, 6) for tau in np.linspace(0.3, 1.8, 6)
             if delta <= tau]
+
+
+def batch_spy(monkeypatch, pulses):
+    """Make ``_batch`` record (thread, indices into ``pulses``) at each call; the
+    calls as a list, which the caller may clear between runs."""
+    calls, batch, index = [], propagate._batch, {id(p): i for i, p in enumerate(pulses)}
+
+    def spy(chain, cells, *args):
+        calls.append((threading.get_ident(), [index[id(p)] for p in cells]))
+        return batch(chain, cells, *args)
+
+    monkeypatch.setattr(propagate, "_batch", spy)
+    return calls
 
 
 @pytest.mark.parametrize("chain, pulses, slabs", [
@@ -286,54 +294,85 @@ def grid(psis, m=6):
     (ChainSpec(n_sites=20, per_period_noise=0.1, seed=7), grid([3.0, 8.0]),
      {2: [26, 26], 3: [26, 26]}),
 ], ids=["static-group", "static-strengths", "noisy-groups"])
-def test_threaded_slabs_are_bit_equal_to_one_thread(monkeypatch, chain, pulses, slabs):
-    usable_cpus(monkeypatch, 8)
-    serial = final_fidelities(chain, pulses)
+def test_threaded_slabs_are_bit_equal_to_one_thread(monkeypatch, usable_cpus, chain, pulses,
+                                                    slabs):
+    usable_cpus(8)
+    serial, threads = final_fidelities(chain, pulses)
+    assert threads == 1
+    calls = batch_spy(monkeypatch, pulses)
     for workers in (2, 3):
-        threads, tasks = propagate.slab_plan(chain, pulses, workers)
-        assert [len(task) for task in tasks] == slabs[workers]
-        assert threads == min(workers, len(tasks))
-        assert final_fidelities(chain, pulses, workers).tobytes() == serial.tobytes(), workers
+        calls.clear()
+        fids, threads = final_fidelities(chain, pulses, workers)
+        assert [len(slab) for slab in sorted(cells for _, cells in calls)] == slabs[workers]
+        assert threads == min(workers, len(calls))
+        assert len({ident for ident, _ in calls}) <= threads
+        assert fids.tobytes() == serial.tobytes(), workers
 
 
-def test_more_threads_than_cores_run_every_task_once(monkeypatch):
+def test_more_threads_than_cores_run_every_task_once(monkeypatch, usable_cpus):
     # 24 strength groups on 8 threads, switching threads every microsecond: a task
     # taken twice or lost would show in the call count or leave a cell unwritten.
-    usable_cpus(monkeypatch, 8)
+    usable_cpus(8)
     chain = ChainSpec(n_sites=10, static_coupling_disorder=0.2, seed=2)
     pulses = grid(np.linspace(0.0, 12.0, 24), m=3)
-    serial = final_fidelities(chain, pulses)
+    serial = final_fidelities(chain, pulses)[0]
     calls, batch = [], propagate._batch
     monkeypatch.setattr(propagate, "_batch", lambda *args: calls.append(1) or batch(*args))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert final_fidelities(chain, pulses, 8).tobytes() == serial.tobytes()
+            assert final_fidelities(chain, pulses, 8)[0].tobytes() == serial.tobytes()
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) == 5 * 24
 
 
 @pytest.mark.parametrize("noisy", [False, True])
-def test_slab_plan_caps_threads_and_aligns_slabs(monkeypatch, noisy):
+def test_final_fidelities_caps_threads_and_aligns_slabs(monkeypatch, usable_cpus, noisy):
     chain = ChainSpec(n_sites=8, per_period_noise=0.1 if noisy else 0.0)
     pulses = grid([0.0, 3.0, 8.0], m=2)  # three groups of 26 cells
-    monkeypatch.setattr(propagate.threading, "Thread", None)  # planning starts no thread
+    serial = final_fidelities(chain, pulses)[0]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert 1 <= propagate.slab_plan(chain, pulses, 10 ** 6)[0] <= cpus
-    usable_cpus(monkeypatch, 8)
+    assert 1 <= final_fidelities(chain, pulses, 10 ** 6)[1] <= cpus
+    usable_cpus(8)
+    started, thread = [], threading.Thread
+    monkeypatch.setattr(propagate.threading, "Thread",
+                        lambda **kwargs: started.append(1) or thread(**kwargs))
+    calls = batch_spy(monkeypatch, pulses)
     for workers, threads, sizes in [(1, 1, [26] * 3), (3, 3, [26] * 3),
                                     (4, 6, [16, 10] * 3), (10 ** 6, 6, [16, 10] * 3)]:
-        plan_threads, tasks = propagate.slab_plan(chain, pulses, workers)
+        calls.clear()
+        started.clear()
+        fids, ran_on = final_fidelities(chain, pulses, workers)
         if noisy:  # a noisy group is never cut
             threads, sizes = min(threads, 3), [26] * 3
-        assert (plan_threads, [len(task) for task in tasks]) == (min(workers, threads), sizes)
+        slabs = sorted(cells for _, cells in calls)  # in cell order
+        assert (ran_on, [len(cells) for cells in slabs]) == (min(workers, threads), sizes)
+        assert len(started) == ran_on - 1  # the calling thread is one of them
         # The slabs of a group cover it in order, so each cell keeps its column in its block.
-        assert [i for task in tasks for i in task] == list(range(len(pulses)))
-    assert propagate.slab_plan(chain, [], 4) == (1, [])
+        assert [i for cells in slabs for i in cells] == list(range(len(pulses)))
+        assert fids.tobytes() == serial.tobytes()
+    calls.clear()
+    fids, threads = final_fidelities(chain, [], 4)
+    assert (len(fids), threads, calls) == (0, 1, [])
     with pytest.raises(ValueError, match="must be >= 1"):
-        propagate.slab_plan(chain, pulses, 0)
+        final_fidelities(chain, pulses, 0)
+
+
+def test_grid_reports_the_threads_its_cells_ran_on(monkeypatch):
+    # One usable CPU at the first probe and four at every later one: the sweep
+    # reports the threads of the plan its cells ran on, and makes no second plan.
+    counts = itertools.chain([1], itertools.repeat(4))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(next(counts))),
+                        raising=False)
+    idents, batch = set(), propagate._batch
+    monkeypatch.setattr(propagate, "_batch",
+                        lambda *args: idents.add(threading.get_ident()) or batch(*args))
+    deltas, taus = np.linspace(0.1, 0.8, 6), np.linspace(0.9, 1.5, 6)
+    result = sweeps.sweep_delta_tau(ChainSpec(n_sites=10), 4.0, 2, deltas, taus, workers=4)
+    assert result.fidelities.size == 36 and not np.isnan(result.fidelities).any()
+    assert result.threads == len(idents) == 1
 
 
 def test_final_fidelity_is_last_recorded_fidelity():
@@ -341,7 +380,7 @@ def test_final_fidelity_is_last_recorded_fidelity():
     chain = ChainSpec(n_sites=20, static_coupling_disorder=0.3, band_broadening=0.4, seed=4)
     pulse = PulseSpec(6.0, 1.1, 0.7, 9)
     assert final_fidelity(chain, pulse) == run_protocol(chain, pulse).fidelities[-1]
-    assert len(final_fidelities(chain, [])) == 0
+    assert len(final_fidelities(chain, [])[0]) == 0
     # Per-period noise sends run_protocol down the Chebyshev route: rounding apart.
     noisy = replace(chain, per_period_noise=0.1)
     assert final_fidelity(noisy, pulse) == pytest.approx(
@@ -593,7 +632,7 @@ def test_final_fidelities_match_floquet_oracle(chain, psi):
     cells = [(1.2, 1.3), (0.5, 0.65)]
     spectra = [floquet_weights(chain, PulseSpec(psi, tau, delta, 1)) for delta, tau in cells]
     for m, bound in ((128, 1e-12), (10_000, 1e-10)):
-        got = final_fidelities(chain, [PulseSpec(psi, tau, delta, m) for delta, tau in cells])
+        got = final_fidelities(chain, [PulseSpec(psi, tau, delta, m) for delta, tau in cells])[0]
         expected = [abs(np.sum(w * lam**m)) for w, lam in spectra]
         assert np.abs(got - expected).max() <= bound, m
 
@@ -636,7 +675,7 @@ def test_batched_matches_oracle_on_random_chains():
     )
     def check(n, coupling, gamma, epsilon, eta, seed, pulses):
         chain = ChainSpec(n, coupling, gamma, epsilon, eta, seed)
-        batched = final_fidelities(chain, pulses)
+        batched = final_fidelities(chain, pulses)[0]
         oracle = [oracle_final_fidelity(chain, pulse) for pulse in pulses]
         assert np.abs(batched - oracle).max() <= 1e-12
 
@@ -796,7 +835,7 @@ def test_negating_every_bond_leaves_every_modulus_unchanged(monkeypatch):
         pulse = pulses[0]
         dt = pulse.period / 7
         t_max = pulse.periods * pulse.period
-        fids = final_fidelities(chain, pulses)
+        fids = final_fidelities(chain, pulses)[0]
         trace = np.abs(site_amplitude_trace(chain, pulse, dt, t_max))
         p_abs = sweeps.pq_check(static_chain, pulse, dt, t_max).p_abs
         with monkeypatch.context() as patch:
@@ -804,7 +843,7 @@ def test_negating_every_bond_leaves_every_modulus_unchanged(monkeypatch):
                 patch.setattr(module, "sample_static_disorder", negated_static)
             patch.setattr(propagate, "sample_period_noise", lambda c, k: -noise(c, k))
             flipped = replace(chain, coupling=-coupling)
-            assert np.abs(final_fidelities(flipped, pulses) - fids).max() <= 1e-12
+            assert np.abs(final_fidelities(flipped, pulses)[0] - fids).max() <= 1e-12
             flipped_trace = site_amplitude_trace(flipped, pulse, dt, t_max)
             assert np.abs(np.abs(flipped_trace) - trace).max() <= 1e-12
             flipped_p = sweeps.pq_check(replace(flipped, per_period_noise=0.0), pulse, dt, t_max)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddchain.model import ChainSpec, PulseSpec
+from ddchain.propagate import final_fidelities, run_protocol
 from ddchain.sweeps import sweep_delta_tau, sweep_ratio_psi, sweep_size, trace_variants
 
 
@@ -47,6 +50,25 @@ def test_size_sweep_degenerate_chain():
     table = sweep_size(ChainSpec(n_sites=2, coupling=0.0), PulseSpec(8.0, 1.0, 0.5, 4), [2, 3])
     assert np.allclose(table.free, 1.0, atol=1e-12)
     assert np.allclose(table.controlled, 1.0, atol=1e-12)
+
+
+def test_size_sweep_runs_each_train_alone():
+    # Each size's free and controlled train is a single train: on a noisy chain the
+    # Chebyshev route of run_protocol, on a static one the same one-cell batch as
+    # final_fidelities. Every value is bit-equal to that train run alone.
+    pulse = PulseSpec(8.0, 1.3, 1.2, 16)
+    n_values = [12, 30, 47]
+    for chain, alone in [
+        (ChainSpec(n_sites=5, per_period_noise=0.1, seed=4),
+         lambda c, p: run_protocol(c, p).fidelities[-1]),
+        (ChainSpec(n_sites=5, static_coupling_disorder=0.3, band_broadening=0.4, seed=4),
+         lambda c, p: final_fidelities(c, [p])[0][0]),
+    ]:
+        table = sweep_size(chain, pulse, n_values)
+        for n, free, controlled in zip(n_values, table.free, table.controlled):
+            resized = replace(chain, n_sites=n)
+            for got, train in ((free, replace(pulse, strength=0.0)), (controlled, pulse)):
+                assert got.tobytes() == alone(resized, train).tobytes(), (chain, n, train)
 
 
 def test_size_sweep_free_oscillates_controlled_flat():
