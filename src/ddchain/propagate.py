@@ -43,8 +43,8 @@ from .model import (
 )
 
 
-# Blocks are padded with idle cells to a multiple of this many columns, so every
-# cell takes the same GEMM kernel path whatever its batch-mates or BLAS thread count.
+# A grid's blocks are padded to a multiple of this many columns, so every cell
+# takes the same GEMM kernel path whatever its batch-mates or BLAS thread count.
 _BLOCK = 8
 
 # Past this r * duration one eigensolve costs less than one step of a built
@@ -195,9 +195,8 @@ def _chebyshev_stepper(diagonal: np.ndarray, abs_off: np.ndarray, duration: floa
 
 def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segment=None):
     """Yield (k, fidelities) every ``record_every`` periods and at the last
-    period k of ``pulses``, which share one strength and period count;
-    idle entries pad the fidelities to a multiple of _BLOCK. Once exhausted,
-    raises NumericalError if a norm is off 1 by more than 1e-9.
+    period k of ``pulses``, which share one strength and period count. Once
+    exhausted, raises NumericalError if a norm is off 1 by more than 1e-9.
 
     Column j of the N x K block holds the state of pulses[j] over the current
     segment's eigenvectors. Segment 0 (pulsed) then 1 (free) of period p = 0,
@@ -207,9 +206,8 @@ def _batch(chain: ChainSpec, pulses: list[PulseSpec], record_every: int, on_segm
     bases are entered through the sites. A static pair's repeats reuse them,
     and enter the other basis by one GEMM by W^T or W (W = V_f^T V_p).
     """
-    pad = [0.0] * (-len(pulses) % _BLOCK)
-    widths = np.array([p.width for p in pulses] + pad)
-    rests = np.array([p.period - p.width for p in pulses] + pad)
+    widths = np.array([p.width for p in pulses])
+    rests = np.array([p.period - p.width for p in pulses])
     periods = pulses[0].periods
     coeffs = np.repeat(initial_state(chain.n_sites)[:, None], len(widths), axis=1)
     h_last, basis, w = None, None, None
@@ -244,8 +242,8 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     the fidelity at t = 0 and every ``record_every`` periods, and the last one.
     Under per-period noise it steps each segment by one ``_chebyshev_stepper``
     over the bounds of ``_noise_bound``, built at the first period, which
-    agrees with the spectral route of ``final_fidelity`` to rounding, not bit
-    for bit.
+    agrees with the spectral route of ``final_fidelities`` to rounding, not
+    bit for bit.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
@@ -270,9 +268,10 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
                      ) -> tuple[np.ndarray, int]:
     """(fidelities, threads): each pulse's survival fidelity after its last period on ``chain``,
     in order, and the threads that ran them, at most ``workers`` and the usable CPUs. A task is
-    a group of ``pulses`` of one strength and period count, cut (unless noisy: each slab would
-    redo the eigensolves) into ceil(threads / groups) slabs that start on _BLOCK bounds: no bit
-    moves. After the first exception no task starts, and it is raised once all have joined."""
+    a group of ``pulses`` of one strength and period count, padded by its last cell to a multiple
+    of _BLOCK and cut (unless noisy: each slab would redo the eigensolves) into ceil(threads /
+    groups) slabs that start on _BLOCK bounds, so no cell's bits depend on its batch-mates. After
+    the first exception no task starts, and it is raised once all have joined."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     groups: dict[tuple[float, int], list[int]] = {}
@@ -280,7 +279,8 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
         groups.setdefault((pulse.strength, pulse.periods), []).append(i)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cuts = -(-min(workers, cpus) // len(groups)) if groups and chain.per_period_noise == 0 else 1
-    tasks = [cells[i:i + size] for cells in groups.values()
+    tasks = [cells[i:i + size] for group in groups.values()
+             for cells in [group + group[-1:] * (-len(group) % _BLOCK)]
              for size in [_BLOCK * -(-len(cells) // (_BLOCK * cuts))]
              for i in range(0, len(cells), size)]
     threads = min(workers, cpus, len(tasks)) or 1
@@ -290,7 +290,7 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
         while not errors and (cells := next(pending, None)) is not None:
             try:
                 *_, (_, fids) = _batch(chain, [pulses[i] for i in cells], pulses[cells[0]].periods)
-                out[cells] = fids[: len(cells)]
+                out[cells] = fids
             except BaseException as exc:
                 errors.append(exc)
 
@@ -306,8 +306,8 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
 
 
 def final_fidelity(chain: ChainSpec, pulse: PulseSpec) -> float:
-    """Survival fidelity after the last protocol period."""
-    return float(final_fidelities(chain, [pulse])[0][0])
+    """Survival fidelity after the last protocol period: ``run_protocol``'s last value."""
+    return float(run_protocol(chain, pulse, pulse.periods).fidelities[-1])
 
 
 def site_amplitude_trace(chain: ChainSpec, pulse: PulseSpec, dt: float, t_max: float) -> np.ndarray:

@@ -262,7 +262,7 @@ def test_batched_cells_are_bit_equal_to_cells_run_alone():
     batched = final_fidelities(chain, pulses)[0]
     assert len(pulses) == 195
     for pulse, value in zip(pulses, batched):
-        assert value.tobytes() == np.float64(final_fidelity(chain, pulse)).tobytes(), pulse
+        assert value.tobytes() == final_fidelities(chain, [pulse])[0].tobytes(), pulse
 
 
 def grid(psis, m=6):
@@ -285,14 +285,14 @@ def batch_spy(monkeypatch, pulses):
 
 
 @pytest.mark.parametrize("chain, pulses, slabs", [
-    # One static group of 21 cells, not a multiple of _BLOCK.
-    (ChainSpec(n_sites=130), grid([8.0], m=12)[:21], {2: [16, 5], 3: [8, 8, 5]}),
+    # One static group of 21 cells, padded to 24 by its last cell.
+    (ChainSpec(n_sites=130), grid([8.0], m=12)[:21], {2: [16, 8], 3: [8, 8, 8]}),
     # A static grid of two strengths, psi = 0 among them: cut at 3 workers.
     (ChainSpec(n_sites=30, static_coupling_disorder=0.3, band_broadening=0.4, seed=5),
-     grid([0.0, 8.0]), {2: [26, 26], 3: [16, 10, 16, 10]}),
+     grid([0.0, 8.0]), {2: [32, 32], 3: [16, 16, 16, 16]}),
     # A noisy grid of two groups: one whole group per thread.
     (ChainSpec(n_sites=20, per_period_noise=0.1, seed=7), grid([3.0, 8.0]),
-     {2: [26, 26], 3: [26, 26]}),
+     {2: [32, 32], 3: [32, 32]}),
 ], ids=["static-group", "static-strengths", "noisy-groups"])
 def test_threaded_slabs_are_bit_equal_to_one_thread(monkeypatch, usable_cpus, chain, pulses,
                                                     slabs):
@@ -340,18 +340,22 @@ def test_final_fidelities_caps_threads_and_aligns_slabs(monkeypatch, usable_cpus
     monkeypatch.setattr(propagate.threading, "Thread",
                         lambda **kwargs: started.append(1) or thread(**kwargs))
     calls = batch_spy(monkeypatch, pulses)
-    for workers, threads, sizes in [(1, 1, [26] * 3), (3, 3, [26] * 3),
-                                    (4, 6, [16, 10] * 3), (10 ** 6, 6, [16, 10] * 3)]:
+    # Each group of 26 is padded to 32 by repeating its last cell.
+    for workers, threads, sizes in [(1, 1, [32] * 3), (3, 3, [32] * 3),
+                                    (4, 6, [16, 16] * 3), (10 ** 6, 6, [16, 16] * 3)]:
         calls.clear()
         started.clear()
         fids, ran_on = final_fidelities(chain, pulses, workers)
         if noisy:  # a noisy group is never cut
-            threads, sizes = min(threads, 3), [26] * 3
+            threads, sizes = min(threads, 3), [32] * 3
         slabs = sorted(cells for _, cells in calls)  # in cell order
         assert (ran_on, [len(cells) for cells in slabs]) == (min(workers, threads), sizes)
         assert len(started) == ran_on - 1  # the calling thread is one of them
-        # The slabs of a group cover it in order, so each cell keeps its column in its block.
-        assert [i for cells in slabs for i in cells] == list(range(len(pulses)))
+        # The slabs of a group cover its distinct cells in order, so each cell keeps its
+        # column in its block, and only the group's last cell repeats, at its tail.
+        cells = [i for slab in slabs for i in slab]
+        assert [i for i, _ in itertools.groupby(cells)] == list(range(len(pulses)))
+        assert len(cells) - len(pulses) == 3 * 6
         assert fids.tobytes() == serial.tobytes()
     calls.clear()
     fids, threads = final_fidelities(chain, [], 4)
@@ -376,15 +380,55 @@ def test_grid_reports_the_threads_its_cells_ran_on(monkeypatch):
 
 
 def test_final_fidelity_is_last_recorded_fidelity():
-    # A static chain runs both on the spectral route: the same bits.
+    # final_fidelity is a single train of run_protocol: the same bits on the spectral
+    # route of a static chain and on the Chebyshev route of per-period noise.
     chain = ChainSpec(n_sites=20, static_coupling_disorder=0.3, band_broadening=0.4, seed=4)
     pulse = PulseSpec(6.0, 1.1, 0.7, 9)
     assert final_fidelity(chain, pulse) == run_protocol(chain, pulse).fidelities[-1]
     assert len(final_fidelities(chain, [])[0]) == 0
-    # Per-period noise sends run_protocol down the Chebyshev route: rounding apart.
     noisy = replace(chain, per_period_noise=0.1)
-    assert final_fidelity(noisy, pulse) == pytest.approx(
-        run_protocol(noisy, pulse).fidelities[-1], abs=1e-12)
+    assert final_fidelity(noisy, pulse) == run_protocol(noisy, pulse).fidelities[-1]
+
+
+def test_single_trains_step_one_column(monkeypatch):
+    # Only grids pad their blocks: a static single train steps its one state.
+    widths, gemm = [], propagate._gemm
+    monkeypatch.setattr(propagate, "_gemm", lambda matrix, coeffs:
+                        widths.append(coeffs.shape[1]) or gemm(matrix, coeffs))
+    chain = ChainSpec(n_sites=12, static_coupling_disorder=0.3, seed=2)
+    pulse = PulseSpec(6.0, 1.1, 0.7, 5)
+    for run in (lambda: run_protocol(chain, pulse), lambda: final_fidelity(chain, pulse),
+                lambda: site_amplitude_trace(chain, pulse, 0.1, 5.0)):
+        widths.clear()
+        run()
+        assert widths and set(widths) == {1}
+    widths.clear()
+    final_fidelities(chain, [pulse])
+    assert widths and set(widths) == {propagate._BLOCK}
+
+
+@pytest.mark.parametrize("chain", [
+    ChainSpec(n_sites=14, static_coupling_disorder=0.3, band_broadening=0.4, seed=6),
+    ChainSpec(n_sites=14, per_period_noise=0.1, seed=6),
+], ids=["static", "noisy"])
+def test_grid_tasks_are_whole_blocks_and_cells_match_one_cell_grids(monkeypatch, usable_cpus,
+                                                                    chain):
+    # Three groups, (0, 3), (8, 3) and (8, 5): strengths and period counts both split them.
+    pulses = [PulseSpec(psi, tau, delta, m) for delta in np.linspace(0.1, 1.0, 4)
+              for tau in np.linspace(1.0, 1.6, 3)
+              for psi, m in [(0.0, 3), (8.0, 3), (8.0, 5)]][:-2]
+    alone = [final_fidelities(chain, [pulse])[0] for pulse in pulses]
+    usable_cpus(8)
+    calls = batch_spy(monkeypatch, pulses)
+    for workers in (1, 2, 3, 6):
+        calls.clear()
+        fids = final_fidelities(chain, pulses, workers)[0]
+        assert all(len(cells) % propagate._BLOCK == 0 for _, cells in calls), workers
+        for pulse, value, one in zip(pulses, fids, alone):
+            assert value.tobytes() == one.tobytes(), (workers, pulse)
+    if chain.per_period_noise == 0.0:  # a static single train: one column, not a block
+        for pulse, one in zip(pulses, alone):
+            assert run_protocol(chain, pulse).fidelities[-1] == pytest.approx(one[0], abs=1e-14)
 
 
 def test_norm_drift_raises_numerical_error(monkeypatch):

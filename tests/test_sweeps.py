@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddchain.model import ChainSpec, PulseSpec
-from ddchain.propagate import final_fidelities, run_protocol
+from ddchain.propagate import run_protocol
 from ddchain.sweeps import sweep_delta_tau, sweep_ratio_psi, sweep_size, trace_variants
 
 
@@ -53,22 +53,19 @@ def test_size_sweep_degenerate_chain():
 
 
 def test_size_sweep_runs_each_train_alone():
-    # Each size's free and controlled train is a single train: on a noisy chain the
-    # Chebyshev route of run_protocol, on a static one the same one-cell batch as
-    # final_fidelities. Every value is bit-equal to that train run alone.
+    # Each size's free and controlled train is a single train of run_protocol: on a
+    # noisy chain its Chebyshev route, on a static one its one-column spectral route.
+    # Every value is bit-equal to that train run alone.
     pulse = PulseSpec(8.0, 1.3, 1.2, 16)
     n_values = [12, 30, 47]
-    for chain, alone in [
-        (ChainSpec(n_sites=5, per_period_noise=0.1, seed=4),
-         lambda c, p: run_protocol(c, p).fidelities[-1]),
-        (ChainSpec(n_sites=5, static_coupling_disorder=0.3, band_broadening=0.4, seed=4),
-         lambda c, p: final_fidelities(c, [p])[0][0]),
-    ]:
+    for chain in [ChainSpec(n_sites=5, per_period_noise=0.1, seed=4),
+                  ChainSpec(n_sites=5, static_coupling_disorder=0.3, band_broadening=0.4, seed=4)]:
         table = sweep_size(chain, pulse, n_values)
         for n, free, controlled in zip(n_values, table.free, table.controlled):
             resized = replace(chain, n_sites=n)
             for got, train in ((free, replace(pulse, strength=0.0)), (controlled, pulse)):
-                assert got.tobytes() == alone(resized, train).tobytes(), (chain, n, train)
+                alone = run_protocol(resized, train).fidelities[-1]
+                assert got.tobytes() == alone.tobytes(), (chain, n, train)
 
 
 def test_size_sweep_free_oscillates_controlled_flat():
