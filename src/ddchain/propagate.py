@@ -268,10 +268,10 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
                      ) -> tuple[np.ndarray, int]:
     """(fidelities, threads): each pulse's survival fidelity after its last period on ``chain``,
     in order, and the threads that ran them, at most ``workers`` and the usable CPUs. A task is
-    a group of ``pulses`` of one strength and period count, padded by its last cell to a multiple
-    of _BLOCK and cut (unless noisy: each slab would redo the eigensolves) into ceil(threads /
-    groups) slabs that start on _BLOCK bounds, so no cell's bits depend on its batch-mates. After
-    the first exception no task starts, and it is raised once all have joined."""
+    a group of ``pulses`` of one strength and period count, cut (unless noisy: each slab would
+    redo the eigensolves) into ceil(threads / groups) slabs that start on _BLOCK bounds and are
+    padded by their last cell to a multiple of _BLOCK, so no cell's bits depend on its
+    batch-mates. After the first exception no task starts, and it is raised once all have joined."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     groups: dict[tuple[float, int], list[int]] = {}
@@ -279,8 +279,7 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
         groups.setdefault((pulse.strength, pulse.periods), []).append(i)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cuts = -(-min(workers, cpus) // len(groups)) if groups and chain.per_period_noise == 0 else 1
-    tasks = [cells[i:i + size] for group in groups.values()
-             for cells in [group + group[-1:] * (-len(group) % _BLOCK)]
+    tasks = [cells[i:i + size] for cells in groups.values()
              for size in [_BLOCK * -(-len(cells) // (_BLOCK * cuts))]
              for i in range(0, len(cells), size)]
     threads = min(workers, cpus, len(tasks)) or 1
@@ -289,8 +288,9 @@ def final_fidelities(chain: ChainSpec, pulses: list[PulseSpec], workers: int = 1
     def work():
         while not errors and (cells := next(pending, None)) is not None:
             try:
-                *_, (_, fids) = _batch(chain, [pulses[i] for i in cells], pulses[cells[0]].periods)
-                out[cells] = fids
+                block = [pulses[i] for i in cells + cells[-1:] * (-len(cells) % _BLOCK)]
+                *_, (_, fids) = _batch(chain, block, pulses[cells[0]].periods)
+                out[cells] = fids[: len(cells)]
             except BaseException as exc:
                 errors.append(exc)
 

@@ -351,11 +351,10 @@ def test_final_fidelities_caps_threads_and_aligns_slabs(monkeypatch, usable_cpus
         slabs = sorted(cells for _, cells in calls)  # in cell order
         assert (ran_on, [len(cells) for cells in slabs]) == (min(workers, threads), sizes)
         assert len(started) == ran_on - 1  # the calling thread is one of them
-        # The slabs of a group cover its distinct cells in order, so each cell keeps its
-        # column in its block, and only the group's last cell repeats, at its tail.
-        cells = [i for slab in slabs for i in slab]
-        assert [i for i, _ in itertools.groupby(cells)] == list(range(len(pulses)))
-        assert len(cells) - len(pulses) == 3 * 6
+        # The slabs cover every cell in order, so each cell keeps its column in its
+        # block, and only a group's last cell repeats, six times at its tail.
+        assert [i for slab in slabs for i in slab] == [
+            i for g in range(3) for i in [*range(26 * g, 26 * g + 26)] + [26 * g + 25] * 6]
         assert fids.tobytes() == serial.tobytes()
     calls.clear()
     fids, threads = final_fidelities(chain, [], 4)
