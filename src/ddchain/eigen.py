@@ -69,7 +69,7 @@ def decompose(h: TridiagonalHamiltonian) -> SpectralDecomposition:
 
 def phases(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i rate t) for each rate (row) and time (column); NumericalError on overflow."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at an infinite eigenvalue
         products = np.outer(rates, times)
     if not np.isfinite(products).all():
         raise NumericalError("a spectral phase E t overflows")

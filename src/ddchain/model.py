@@ -166,8 +166,9 @@ def _hamiltonian(spec: ChainSpec, strength: float, bond_offsets, site_offsets):
     starts at +0.0, so it never holds -0.0 and zero strength changes no bit."""
     n = spec.n_sites
     diag = np.zeros(n) + _offsets(site_offsets, n, "site_offsets")
-    diag[0] += strength
-    off = np.full(n - 1, spec.coupling) + _offsets(bond_offsets, n - 1, "bond_offsets")
+    with np.errstate(over="ignore"):  # TridiagonalHamiltonian's finiteness check reports it
+        diag[0] += strength
+        off = np.full(n - 1, spec.coupling) + _offsets(bond_offsets, n - 1, "bond_offsets")
     return TridiagonalHamiltonian(diag, off)
 
 

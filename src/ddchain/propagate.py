@@ -99,7 +99,8 @@ def _period_hamiltonians(chain: ChainSpec, pulse: PulseSpec):
     noisy = chain.per_period_noise > 0.0
     for k in itertools.count():
         if noisy or k == 0:
-            bonds = bond_off + sample_period_noise(chain, k) if noisy else bond_off
+            with np.errstate(over="ignore"):  # the Hamiltonian's finiteness check reports it
+                bonds = bond_off + sample_period_noise(chain, k) if noisy else bond_off
             free = build_free_hamiltonian(chain, bonds, site_off)
             pulsed = free if pulse.strength == 0.0 else build_controlled_hamiltonian(
                 chain, pulse, bonds, site_off)
@@ -131,8 +132,9 @@ def _gershgorin(diagonal: np.ndarray, abs_off: np.ndarray) -> tuple[float, float
     """The Gershgorin interval of a tridiagonal matrix from its diagonal and
     its off-diagonal moduli (or bounds on them, for an interval holding them all)."""
     padded = np.concatenate(([0.0], abs_off, [0.0]))
-    reach = padded[:-1] + padded[1:]  # |e[i - 1]| + |e[i]|, zero past the ends
-    return float((diagonal - reach).min()), float((diagonal + reach).max())
+    with np.errstate(over="ignore"):  # an infinite end routes the stepper spectrally
+        reach = padded[:-1] + padded[1:]  # |e[i - 1]| + |e[i]|, zero past the ends
+        return float((diagonal - reach).min()), float((diagonal + reach).max())
 
 
 def _noise_bound(chain: ChainSpec) -> np.ndarray:
@@ -140,15 +142,16 @@ def _noise_bound(chain: ChainSpec) -> np.ndarray:
     noise: |J + b| + eta for static bond offsets b, widened by a few ulps of
     |J| + |b| + eta for the rounding of J + (b + noise)."""
     b, eta, j = sample_static_disorder(chain)[0], chain.per_period_noise, chain.coupling
-    return np.abs(j + b) + eta + 4 * np.finfo(float).eps * (abs(j) + np.abs(b) + eta)
+    with np.errstate(over="ignore"):  # an infinite bound routes the stepper spectrally
+        return np.abs(j + b) + eta + 4 * np.finfo(float).eps * (abs(j) + np.abs(b) + eta)
 
 
 def _chebyshev_stepper(diagonal: np.ndarray, abs_off: np.ndarray, duration: float):
     """step(h, state) = exp(-i h duration) state for every h with this diagonal and
     off-diagonal moduli at most ``abs_off``: over the Gershgorin interval [c - r, c + r]
     of those bounds, exp(-i c duration) sum_n (2 - [n = 0]) (-i)^n J_n(r duration)
-    T_n((h - c) / r) state; an exact copy at zero r duration, and ``evolve_interval``
-    past r duration = _CHEBYSHEV_MAX_RT. The series, its weights and the zero-padded
+    T_n((h - c) / r) state when 0 < r duration <= _CHEBYSHEV_MAX_RT, else ``evolve_interval``
+    (at zero, infinite or NaN r duration too). The series, its weights and the zero-padded
     rows T_(-1) = 0, T_0, T_1, ... are built once. A step sets the off-diagonal taps
     from h; each T_(n+1) = 2 h' T_n - T_(n-1) (halved for T_1) is one product over six
     float taps, T_n[i + 1], T_n[i], T_n[i - 1], T_(n-1)[i + 1], T_(n-1)[i], T_(n-1)[i - 1],
@@ -156,9 +159,7 @@ def _chebyshev_stepper(diagonal: np.ndarray, abs_off: np.ndarray, duration: floa
     e' T_n[i - 1] - T_(n-1)[i] does. No BLAS."""
     lo, hi = _gershgorin(diagonal, abs_off)
     c, r = (hi + lo) / 2, (hi - lo) / 2
-    if r * duration == 0.0:
-        return lambda h, state: np.exp(-1j * c * duration) * state
-    if r * duration > _CHEBYSHEV_MAX_RT:
+    if not 0.0 < r * duration <= _CHEBYSHEV_MAX_RT:  # NaN too
         return lambda h, state: evolve_interval(state, decompose(h), duration)
     j = _bessel_series(r * duration)
     n, terms = len(diagonal), len(j)
@@ -240,10 +241,10 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     Starting from the initial state, applies ``pulse.periods`` repetitions of
     [pulsed evolution for width, free evolution for period - width], recording
     the fidelity at t = 0 and every ``record_every`` periods, and the last one.
-    Under per-period noise it steps each segment by one ``_chebyshev_stepper``
-    over the bounds of ``_noise_bound``, built at the first period, which
-    agrees with the spectral route of ``final_fidelities`` to rounding, not
-    bit for bit.
+    Under per-period noise it steps each segment but a zero-length one (an
+    exact identity, skipped) by one ``_chebyshev_stepper`` over the bounds of
+    ``_noise_bound``, built at the first period, which agrees with the spectral
+    route of ``final_fidelities`` to rounding, not bit for bit.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
@@ -251,10 +252,10 @@ def run_protocol(chain: ChainSpec, pulse: PulseSpec, record_every: int = 1) -> E
     if chain.per_period_noise > 0.0:  # no BLAS below _CHEBYSHEV_MAX_RT
         state, steppers, bound = initial_state(chain.n_sites), None, _noise_bound(chain)
         for k, pair in zip(range(1, pulse.periods + 1), _period_hamiltonians(chain, pulse)):
-            steppers = steppers or [_chebyshev_stepper(h.diagonal, bound, t) for h, t in
-                                    zip(pair, (pulse.width, pulse.period - pulse.width))]
+            steppers = steppers or [_chebyshev_stepper(h.diagonal, bound, t) if t else None for
+                                    h, t in zip(pair, (pulse.width, pulse.period - pulse.width))]
             for step, h in zip(steppers, pair):
-                state = step(h, state)
+                state = step(h, state) if step else state
             if k % record_every == 0 or k == pulse.periods:
                 records.append((k, abs(state[0])))
         _check_norm(state, pulse.periods)

@@ -147,8 +147,7 @@ def kernel_study(
     traces remain normalized to J^2 at zero delay and are directly
     comparable to the clean one.
     """
-    bond_off, site_off = sample_static_disorder(chain)
-    env = environment_block(build_free_hamiltonian(chain, bond_off, site_off))
+    env = environment_block(build_free_hamiltonian(chain, *sample_static_disorder(chain)))
     return correlation_kernel(env, chain.coupling, dt, t_max, threshold, hold)
 
 
@@ -166,8 +165,7 @@ def pq_check(chain: ChainSpec, pulse: PulseSpec, dt: float, t_max: float) -> PqC
     if chain.per_period_noise > 0.0:
         raise ValueError("the memory-kernel route requires a static environment")
     direct = np.abs(site_amplitude_trace(chain, pulse, dt, t_max))
-    bond_off, site_off = sample_static_disorder(chain)
-    h = build_free_hamiltonian(chain, bond_off, site_off)
+    h = build_free_hamiltonian(chain, *sample_static_disorder(chain))
     times = time_grid(dt, t_max)
     g = kernel_values(environment_block(h), h.off_diagonal[0], times)
     p = solve_p_equation(g, pulse, t_max, dt, drive_offset=h.diagonal[0])

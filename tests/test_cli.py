@@ -382,12 +382,39 @@ def test_overflowing_inputs_exit_1_without_files(tmp_path, capsys, args):
     ["kernel", "--n", "6", "--j", "1e150", "--t-max", "1e300", "--dt", "1e298", "--hold", "1e299"],
     ["delta-tau", "--n", "6", "--m", "1", "--delta-steps", "2", "--tau-steps", "2",
      "--psi", "1e308"],
-], ids=["kernel", "delta-tau"])
+    # An eigenvalue rounds to inf, and inf * 0 is NaN at t = 0.
+    ["kernel", "--n", "5", "--epsilon", "1.7e308", "--gamma", "1.7e308"],
+], ids=["kernel", "delta-tau", "kernel-infinite-eigenvalue"])
 def test_overflowing_phase_is_named_before_any_warning(tmp_path, capsys, args):
     # Under the suite's warnings-as-errors a numpy overflow warning fails this too.
     assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
     assert capsys.readouterr().err == "ddchain: error: a spectral phase E t overflows\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["delta-tau", "--n", "5", "--m", "2", "--delta-steps", "2", "--tau-steps", "2",
+     "--j", "1.7e308", "--gamma", "1e308"],
+    ["kernel", "--n", "5", "--j", "1.7e308", "--gamma", "1e308"],
+    ["size", "--n-values", "5", "--m", "2", "--psi", "1.7e308", "--epsilon", "1e308",
+     "--eta", "0.1"],
+], ids=["delta-tau", "kernel", "size"])
+def test_overflowing_hamiltonian_is_named_before_any_warning(tmp_path, capsys, args):
+    # J + b and offset + psi overflow: the finiteness check is the one report.
+    assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err == "ddchain: error: Hamiltonian entries must be finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", ["0", "1.2", "1.3"])
+def test_unbounded_noise_trace_runs_without_a_warning(tmp_path, capsys, delta):
+    # eta = 1e308 makes the noisy variant's run interval infinite: it steps spectrally.
+    out = tmp_path / "t.csv"
+    args = ["trace", "--n", "5", "--m", "2", "--eta", "1e308", "--delta", delta]
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(out)
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
 @pytest.mark.parametrize("args, message", [

@@ -472,15 +472,13 @@ def test_chebyshev_norm_drift_raises_numerical_error(monkeypatch):
 
 def reference_chebyshev_step(h, state, duration):
     """The three-term Chebyshev loop over h's own Gershgorin interval that
-    the stencil replaced, with the same zero-duration and cutoff branches."""
+    the stencil replaced, with the same spectral route outside the series' range."""
     d, e = h.diagonal, h.off_diagonal
     padded = np.abs(np.concatenate(([0.0], e, [0.0])))
     reach = padded[:-1] + padded[1:]
     lo, hi = float((d - reach).min()), float((d + reach).max())
     c, r = (hi + lo) / 2, (hi - lo) / 2
-    if r * duration == 0.0:
-        return np.exp(-1j * c * duration) * state
-    if r * duration > propagate._CHEBYSHEV_MAX_RT:
+    if not 0.0 < r * duration <= propagate._CHEBYSHEV_MAX_RT:
         return evolve_interval(state, decompose(h), duration)
     j = propagate._bessel_series(r * duration)
     d2, e2 = 2 * (d - c) / r, 2 * e / r
@@ -610,6 +608,74 @@ def test_chebyshev_zero_duration_is_an_exact_copy():
     state = np.linspace(0.1, 0.7, 7) * (1 - 2j)
     out = propagate._chebyshev_stepper(h.diagonal, np.abs(h.off_diagonal), 0.0)(h, state)
     assert np.array_equal(out, state) and out is not state
+
+
+def route_spies(monkeypatch):
+    """Lists of the series arguments and the decompositions that a stepper makes."""
+    series, solves = [], []
+    real_series, real_decompose = propagate._bessel_series, propagate.decompose
+    monkeypatch.setattr(propagate, "_bessel_series", lambda x: series.append(x) or real_series(x))
+    monkeypatch.setattr(propagate, "decompose", lambda h: solves.append(h) or real_decompose(h))
+    return series, solves
+
+
+def test_chebyshev_stepper_routes_by_one_test(monkeypatch):
+    # Bounds 0.5 give the interval [-1, 1], so r = 1 and r * duration = duration.
+    h = TridiagonalHamiltonian(np.zeros(4), [0.5, -0.5, 0.25])
+    state = np.linspace(0.2, 0.8, 4) * (1 + 1j)
+    cutoff = propagate._CHEBYSHEV_MAX_RT
+    series, solves = route_spies(monkeypatch)
+    for rt in (5e-324, 1e-12, 1e-9, 0.5, 7.0, 100.0, cutoff):
+        step = propagate._chebyshev_stepper(np.zeros(4), np.full(3, 0.5), rt)
+        out = step(h, state)
+        assert series == [rt] and solves == [], rt
+        assert np.abs(out - evolve_interval(state, decompose(h), rt)).max() <= 1e-12
+        series.clear()
+    bounded, unbounded = [0.5] * 3, [0.5, math.inf, 0.5]
+    past = math.nextafter(cutoff, math.inf)
+    for abs_off, duration in ((bounded, 0.0), (unbounded, 0.0), (unbounded, 0.1), (bounded, past)):
+        step = propagate._chebyshev_stepper(np.zeros(4), np.array(abs_off), duration)
+        out = step(h, state)
+        assert series == [] and solves == [h], (abs_off, duration)
+        assert np.array_equal(out, evolve_interval(state, decompose(h), duration))
+        solves.clear()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.3], ids=["delta=0", "delta=tau"])
+def test_noisy_train_skips_its_zero_length_segment(monkeypatch, delta):
+    real_stepper, built = propagate._chebyshev_stepper, []
+    monkeypatch.setattr(propagate, "_chebyshev_stepper",
+                        lambda *args: built.append(args[2]) or real_stepper(*args))
+    chain = ChainSpec(n_sites=12, per_period_noise=0.1, seed=3)
+    pulse = PulseSpec(8.0, 1.3, delta, 16)
+    value = run_protocol(chain, pulse).fidelities[-1]
+    assert built == [1.3]
+    assert value == pytest.approx(final_fidelities(chain, [pulse])[0][0], abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.2, 1.3])
+def test_unbounded_noise_interval_steps_spectrally(delta):
+    # Two bond bounds of 1e308 sum to inf in an inner Gershgorin reach: the run
+    # interval is infinite, and each segment steps spectrally, without a warning.
+    chain, pulse = ChainSpec(n_sites=5, per_period_noise=1e308), PulseSpec(8.0, 1.3, delta, 2)
+    value = run_protocol(chain, pulse).fidelities[-1]
+    assert value == pytest.approx(final_fidelities(chain, [pulse])[0][0], abs=1e-12)
+
+
+NOT_FINITE = ValueError, "Hamiltonian entries must be finite"
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"coupling": 1e308, "per_period_noise": 1e308}, *NOT_FINITE),  # J + noise overflows
+    # The static offset plus period 0's noise overflows at one bond.
+    ({"static_coupling_disorder": 1.7e308, "per_period_noise": 1.7e308, "seed": 4}, *NOT_FINITE),
+    ({"coupling": 1e308, "per_period_noise": 1e300}, NumericalError, "a spectral phase E t"),
+])
+def test_overflowing_noisy_chain_raises_before_any_warning(kwargs, error, message):
+    chain, pulse = ChainSpec(n_sites=5, **kwargs), PulseSpec(8.0, 1.3, 1.2, 2)
+    for run in (lambda: run_protocol(chain, pulse), lambda: final_fidelities(chain, [pulse])):
+        with pytest.raises(error, match=message):
+            run()
 
 
 def test_bessel_series_matches_scipy():
