@@ -169,6 +169,8 @@ def main(argv=None) -> int:
         if not (namespace.workers.isdecimal() and int(namespace.workers) >= 1):
             raise ConfigError(f"--workers must be a positive integer, got {namespace.workers!r}")
         cfg = parse_config(namespace.config, overrides, kind=namespace.command)
+        if not cfg.out or os.path.isdir(cfg.out):
+            raise ConfigError(f"out must name a file, got {cfg.out!r}")
     except (ConfigError, OSError) as exc:
         print(f"ddchain: error: {exc}", file=sys.stderr)
         return 2

@@ -100,20 +100,23 @@ SINGLE_PULSE_KINDS = ("size", "trace", "pq-check")
 
 
 def read_key_value_file(path: str) -> dict[str, str]:
-    """Raw key -> value strings from a flat config file; a key given twice is an error."""
+    """Raw key -> value strings from a flat UTF-8 config file; a key given twice is an error."""
     entries: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if (first := first_line.setdefault(key, lineno)) != lineno:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} already given on line {first}")
-            entries[key] = value
+    with open(path, encoding="utf-8") as handle:  # a leading byte-order mark is skipped
+        try:  # one decode of the whole file, so an error's offset counts from its first byte
+            for lineno, raw in enumerate(handle.read().removeprefix("\ufeff").split("\n"), 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if (first := first_line.setdefault(key, lineno)) != lineno:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} already given on line {first}")
+                entries[key] = value
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     return entries
 
 

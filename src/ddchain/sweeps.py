@@ -2,7 +2,7 @@
 
 Each study takes the chain it runs on, a ``ChainSpec``, first, and
 produces a plain table of results from independent protocol runs. A
-single train, as in the size scan, runs through ``propagate.run_protocol``.
+single train runs through ``propagate.run_protocol``, a size-scan train via ``final_fidelity``.
 The cells of a grid go to ``propagate.final_fidelities`` in one call,
 which advances the cells of one pulse strength together as blocks, on up
 to ``workers`` threads; each cell's value is a pure function of its
@@ -25,7 +25,7 @@ from .model import (
     sample_static_disorder,
     time_grid,
 )
-from .propagate import final_fidelities, run_protocol, site_amplitude_trace
+from .propagate import final_fidelities, final_fidelity, run_protocol, site_amplitude_trace
 
 INFEASIBLE = float("nan")
 
@@ -102,10 +102,10 @@ def sweep_ratio_psi(chain: ChainSpec, delta: float, m: int, ratio_values,
 def sweep_size(chain: ChainSpec, pulse: PulseSpec, n_values) -> SizeSweep:
     """Free and controlled final fidelity of ``chain`` resized to each of
     ``n_values``; ``chain.n_sites`` is not used. The free run is ``pulse``
-    at zero strength; each run is a single train of ``run_protocol``."""
+    at zero strength; each run is one train of ``final_fidelity``."""
     n_values = np.asarray(n_values, dtype=int)
     pulses = [replace(pulse, strength=0.0), pulse]
-    pairs = np.array([[run_protocol(replace(chain, n_sites=int(n)), p, p.periods).fidelities[-1]
+    pairs = np.array([[final_fidelity(replace(chain, n_sites=int(n)), p)
                        for p in pulses] for n in n_values]).reshape(len(n_values), 2)
     return SizeSweep(n_values, pairs[:, 0], pairs[:, 1])
 

@@ -340,13 +340,37 @@ def test_failed_sidecar_write_leaves_no_csv(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv.meta"]
 
 
-def test_failed_csv_move_leaves_no_sidecar(tmp_path, capsys):
+def test_failed_csv_move_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
+    # The sidecar is moved into place first; when the CSV cannot follow, it is taken back out.
     out = tmp_path / "k.csv"
-    out.mkdir()
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if dst == str(out):
+            raise OSError("cannot move the CSV into place")
+        real_replace(src, dst)
+
+    monkeypatch.setattr("ddchain.cli.os.replace", replace)
     assert run_cli("kernel", "--n", "5", "--out", str(out)) == 1
-    assert "error" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == "ddchain: error: cannot move the CSV into place\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["d/", "d", ""])
+def test_out_that_names_no_file_exits_2_and_keeps_what_was_there(tmp_path, capsys,
+                                                                 monkeypatch, out):
+    # A directory (or nothing) as out would put the sidecar at <out>.meta and lose
+    # whatever file was there when the CSV move failed; it is refused before the run.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    for meta in (tmp_path / ".meta", tmp_path / "d" / ".meta"):
+        meta.write_text("keep\n", encoding="utf-8")
+    assert run_cli("size", "--n-values", "5", "--m", "2", "--out", out) == 2
+    assert capsys.readouterr().err == f"ddchain: error: out must name a file, got {out!r}\n"
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        ".meta", "d", "d/.meta"]
+    for meta in (tmp_path / ".meta", tmp_path / "d" / ".meta"):
+        assert meta.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_grid_too_large_for_memory_exits_1(tmp_path, capsys):
@@ -434,6 +458,24 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("kind=size\npsii=8\n", encoding="utf-8")
     assert run_cli("size", "--config", str(cfg)) == 2
     assert "psii" in capsys.readouterr().err
+
+
+def test_config_with_a_byte_order_mark_runs(tmp_path):
+    text = b"kind=size\nn_values=5,8\nm=2\n"
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("plain", "bom"):
+        assert run_cli("size", "--config", str(tmp_path / f"{name}.cfg"),
+                       "--out", str(tmp_path / f"{name}.csv")) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"kind=size\nn_values=5\xff\n")
+    assert run_cli("size", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 2
+    assert capsys.readouterr().err == f"ddchain: error: {cfg}: not UTF-8 text at byte 20\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.cfg"]
 
 
 def test_out_of_range_flag_exits_2(tmp_path, capsys):

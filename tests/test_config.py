@@ -33,6 +33,25 @@ def test_parse_example_file(tmp_path):
     assert cfg.out == "size.csv"
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    # Lines still end at \r\n, \r or \n, as when the file was read line by line.
+    text = "kind=size\r\nn=5\rm=2\n"
+    plain = write(tmp_path, text, "plain.cfg")
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert parse_config(str(tmp_path / "bom.cfg")) == parse_config(plain)
+
+
+def test_undecodable_byte_is_a_config_error_at_its_file_offset(tmp_path):
+    # The offset counts from the file's first byte, the mark included, past
+    # the first read chunk of a long file.
+    data = b"\xef\xbb\xbf# " + b"x" * 20000 + b"\nkind=size\nn=5\xff\n"
+    path = tmp_path / "long.cfg"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as info:
+        parse_config(str(path))
+    assert str(info.value) == f"{path}: not UTF-8 text at byte {data.index(0xff)}"
+
+
 def test_unknown_key_is_an_error(tmp_path):
     path = write(tmp_path, "kind=size\npsii=8\n")
     with pytest.raises(ConfigError, match="psii"):

@@ -5,13 +5,7 @@ from pathlib import Path
 
 import ddchain
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "ddchain"
-
-# Public names that only the benchmark harness under bench/ needs, with the reason.
-BENCH_ONLY = {
-    "final_fidelity": "bench/tracer.py wraps it as a span; it goes with the tracer",
-}
+SRC = Path(__file__).resolve().parents[1] / "src" / "ddchain"
 
 
 def package_trees():
@@ -41,15 +35,12 @@ def test_every_private_module_level_definition_is_used_in_the_package():
     assert unused == []
 
 
-def test_every_public_module_level_definition_is_used_exported_or_bench_only():
-    # A public function or class that the package never calls, does not export,
-    # and the benchmark does not need is dead code.
+def test_every_public_module_level_definition_is_used_or_exported():
+    # A public function or class that the package never calls and does not
+    # export is dead code, whatever else may import it.
     trees = package_trees()
     used = names_used(trees)
     public = {name for _, name in module_level_definitions(trees) if not name.startswith("_")}
     unused = sorted(name for name in public
                     if name not in used and name not in ddchain.__all__)
-    assert unused == sorted(BENCH_ONLY)
-    bench = "".join(path.read_text(encoding="utf-8")
-                    for path in sorted((ROOT / "bench").glob("*.py")))
-    assert [name for name in BENCH_ONLY if name not in bench] == []
+    assert unused == []
