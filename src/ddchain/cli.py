@@ -14,9 +14,9 @@ infeasible sweep cells as the literal token ``nan``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
+import tempfile
 import time
 from dataclasses import fields
 
@@ -47,11 +47,12 @@ def sidecar_path(out: str) -> str:
 
 def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict[str, str],
                    started: float) -> None:
-    """Write the CSV of ``columns`` ({header: column}), then its sidecar, to
-    temporary files beside ``cfg.out``, and move them into place (the sidecar
-    first, taken back out if the CSV cannot follow), so a failed run writes neither."""
-    csv_temp, meta_temp = cfg.out + ".tmp", sidecar_path(cfg.out) + ".tmp"
-    try:
+    """Write the CSV of ``columns`` ({header: column}), then its sidecar, into a private
+    directory beside ``cfg.out`` and move them into place (the sidecar first, taken back
+    out if the CSV cannot follow); the directory goes on exit, so no other file is touched."""
+    directory, name = os.path.split(os.path.abspath(cfg.out))
+    with tempfile.TemporaryDirectory(prefix=name + ".", suffix=".tmp", dir=directory) as stage:
+        csv_temp, meta_temp = os.path.join(stage, "csv"), os.path.join(stage, "meta")
         with open(csv_temp, "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(columns) + "\n")
             # One row template: integers plain, floats to 17 significant digits.
@@ -71,10 +72,6 @@ def _write_outputs(cfg: RunConfig, columns: dict[str, np.ndarray], results: dict
         except OSError:
             os.remove(sidecar_path(cfg.out))
             raise
-    finally:
-        for temp in (csv_temp, meta_temp):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
 
 
 def run(cfg: RunConfig, workers: int = 1) -> str:
@@ -171,6 +168,8 @@ def main(argv=None) -> int:
         cfg = parse_config(namespace.config, overrides, kind=namespace.command)
         if not cfg.out or os.path.isdir(cfg.out):
             raise ConfigError(f"out must name a file, got {cfg.out!r}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+            raise ConfigError(f"out's directory does not exist: {cfg.out!r}")
     except (ConfigError, OSError) as exc:
         print(f"ddchain: error: {exc}", file=sys.stderr)
         return 2

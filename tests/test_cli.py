@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -353,6 +354,59 @@ def test_failed_csv_move_leaves_no_sidecar(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("ddchain.cli.os.replace", replace)
     assert run_cli("kernel", "--n", "5", "--out", str(out)) == 1
     assert capsys.readouterr().err == "ddchain: error: cannot move the CSV into place\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure, code, written", [
+    ("none", 0, ["s.csv", "s.csv.meta"]), ("sidecar move", 1, ["s.csv.meta"]), ("csv move", 1, [])],
+    ids=["success", "sidecar move fails", "csv move fails"])
+def test_files_beside_out_keep_their_bytes(tmp_path, capsys, monkeypatch, failure, code, written):
+    # A run stages in a private directory, so files of the user's at <out>.tmp and
+    # <out>.meta.tmp are neither overwritten nor removed, whether it succeeds or fails.
+    out = tmp_path / "s.csv"
+    neighbours = [tmp_path / "s.csv.tmp", tmp_path / "s.csv.meta.tmp"]
+    for path in neighbours:
+        path.write_bytes(b"keep\n")
+    if failure == "sidecar move":
+        (tmp_path / "s.csv.meta").mkdir()
+    elif failure == "csv move":
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == str(out):
+                raise OSError("cannot move the CSV into place")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("ddchain.cli.os.replace", replace)
+    assert run_cli("size", "--n-values", "5", "--m", "2", "--out", str(out)) == code
+    assert ("error" in capsys.readouterr().err) == (code != 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        written + ["s.csv.meta.tmp", "s.csv.tmp"])
+    for path in neighbours:
+        assert path.read_bytes() == b"keep\n"
+
+
+def test_outputs_keep_the_mode_of_a_plainly_opened_file(tmp_path):
+    # The outputs are created with open(), so they get the umask's mode, as any
+    # file the user writes there would (mkstemp's would be 0600).
+    out = tmp_path / "s.csv"
+    assert run_cli("size", "--n-values", "5", "--m", "2", "--out", str(out)) == 0
+    with open(tmp_path / "plain", "w", encoding="utf-8"):
+        pass
+    mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert stat.S_IMODE(Path(sidecar_path(str(out))).stat().st_mode) == mode
+
+
+def test_out_in_a_missing_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("ddchain.cli.run", run)
+    out = tmp_path / "nodir" / "x.csv"
+    assert run_cli("pq-check", "--m", "32", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"ddchain: error: out's directory does not exist: {str(out)!r}\n")
     assert list(tmp_path.iterdir()) == []
 
 

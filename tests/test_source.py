@@ -44,3 +44,21 @@ def test_every_public_module_level_definition_is_used_or_exported():
     unused = sorted(name for name in public
                     if name not in used and name not in ddchain.__all__)
     assert unused == []
+
+
+def test_every_imported_name_is_used_or_exported():
+    # An import nothing in its module reads (a cleanup helper left behind by a
+    # rewrite, say) costs import time and misleads the reader.
+    trees = package_trees()
+    unused = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {element.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                    for element in node.value.elts}
+        imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names]
+        unused += [f"{module}:{name}" for name in imported if name not in read | exported]
+    assert "cli.py" in trees
+    assert unused == []
